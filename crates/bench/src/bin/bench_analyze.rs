@@ -17,7 +17,9 @@
 //! Results go to stdout, `results/bench_analyze.txt`, and
 //! `results/BENCH_analyze.json` (the CI artifact).
 
-use sieve_bench::harness::{build_campus, emit, queriers_with_policies, EnvConfig};
+use sieve_bench::harness::{
+    best_block_ms, build_campus, emit, ms, queriers_with_policies, write_json, EnvConfig,
+};
 use sieve_bench::table::render;
 use sieve_core::policy::QueryMetadata;
 use std::fmt::Write as _;
@@ -59,25 +61,6 @@ const WARM_VERIFY_GATE_PCT: f64 = 5.0;
 /// tens of µs). A real regression — verification on a warm hit — costs
 /// orders of magnitude more and still trips the gate.
 const WARM_VERIFY_GATE_FLOOR_MS: f64 = 0.01;
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Best block-mean over `blocks` blocks of `reps` calls, in ms/call
-/// (same estimator as `bench_faults`: transient stalls only slow a
-/// block down, so the minimum converges on the true cost).
-fn best_block_ms(reps: usize, blocks: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..blocks {
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(ms(t.elapsed()) / reps as f64);
-    }
-    best
-}
 
 fn main() {
     let cfg = Config::from_args();
@@ -191,11 +174,5 @@ fn main() {
         scale = cfg.env.scale,
         days = cfg.env.days,
     );
-    let _ = std::fs::create_dir_all("results");
-    let path = std::path::Path::new("results").join("BENCH_analyze.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[saved {}]", path.display());
-    }
+    write_json("BENCH_analyze", &json);
 }

@@ -4,7 +4,7 @@
 //! and the engine; this bench prices that seam. Same campus, same
 //! querier, same warm guard cache, two backends:
 //!
-//! * `MinidbBackend` — rewritten query AST handed straight to the
+//! * `Database` — rewritten query AST handed straight to the
 //!   executor (the pre-refactor behaviour; the zero-overhead baseline);
 //! * `WireSqlBackend` — the rewritten query rendered to SQL text,
 //!   shipped across a simulated wire, re-parsed, then executed (the path
@@ -16,10 +16,12 @@
 //! may not tax the hot path. `--quick` shrinks the dataset for CI.
 
 use minidb::{Database, SelectQuery};
-use sieve_bench::harness::{build_campus, emit, queriers_with_policies, EnvConfig};
+use sieve_bench::harness::{
+    best_block_ms, build_campus, emit, ms, queriers_with_policies, write_json, EnvConfig,
+};
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
-use sieve_core::{MinidbBackend, Sieve, SieveOptions, SqlBackend};
+use sieve_core::{Sieve, SieveOptions, SqlBackend, WireSqlBackend};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -28,7 +30,6 @@ struct Config {
     env: EnvConfig,
     warm_reps: usize,
     /// Render+parse reps for the dispatch microbench (wire path only).
-    #[cfg_attr(not(feature = "wire-sql"), allow(dead_code))]
     dispatch_reps: usize,
 }
 
@@ -61,47 +62,6 @@ const PREPARED_OVERHEAD_GATE_PCT: f64 = 10.0;
 /// tax costs at least one render+parse — ~40 µs at quick scale — and
 /// still trips the gate.
 const PREPARED_OVERHEAD_GATE_FLOOR_MS: f64 = 0.01;
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Best block-mean over `blocks` blocks of `reps` calls, in ms/call.
-/// The prepared-path gate compares two ~tens-of-µs figures on a shared
-/// CI container; a single mean drifts with scheduler noise, while the
-/// best block is stable run to run (transient stalls only ever slow a
-/// block down, so the minimum converges on the true cost).
-fn best_block_ms(reps: usize, blocks: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..blocks {
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(ms(t.elapsed()) / reps as f64);
-    }
-    best
-}
-
-/// Everything measured on the wire backend (text path + prepared path).
-#[cfg_attr(not(feature = "wire-sql"), allow(dead_code))]
-struct WireNumbers {
-    warm_prepare_ms: f64,
-    warm_exec_ms: f64,
-    sql_bytes: usize,
-    render_ms: f64,
-    parse_ms: f64,
-    round_trips: u64,
-    /// Warm execute-by-statement-id (no SQL text on the wire).
-    prepared_exec_ms: f64,
-    /// The in-process pinned-plan baseline, measured in blocks
-    /// interleaved with `prepared_exec_ms` so both sides of the gate
-    /// comparison see the same noise environment.
-    mini_prepared_exec_ms: f64,
-    stmt_prepares: u64,
-    stmt_template_hits: u64,
-    stmt_executions: u64,
-}
 
 /// Warm measurements for one backend: (warm prepare ms, warm exec ms,
 /// result rows).
@@ -167,8 +127,7 @@ fn main() {
 
     // ---- In-process baseline.
     let mut minidb_sieve =
-        Sieve::with_backend(MinidbBackend::new(base_db.clone()), options.clone())
-            .expect("minidb backend init");
+        Sieve::with_backend(base_db.clone(), options.clone()).expect("minidb backend init");
     *minidb_sieve.groups_mut() = campus.dataset.groups.clone();
     minidb_sieve
         .add_policies(campus.policies.iter().cloned())
@@ -177,8 +136,7 @@ fn main() {
         measure(&mut minidb_sieve, &q, &qm, cfg.warm_reps);
     // In-process `Prepared` handle: the pinned-plan execute both backends'
     // prepared paths are compared against (no rewrite in the loop on
-    // either side). Timed inside the wire block, interleaved with the
-    // wire prepared loop; standalone only when wire-sql is off.
+    // either side). Timed interleaved with the wire prepared loop.
     let mini_service = minidb_sieve.service().clone();
     let mini_prepared = mini_service
         .session(qm.clone())
@@ -187,111 +145,93 @@ fn main() {
     mini_prepared.execute().expect("prepared warm-up");
 
     // ---- Wire-SQL backend over the same data.
-    #[cfg(feature = "wire-sql")]
-    let wire = {
-        use sieve_core::WireSqlBackend;
-        let mut wire_sieve =
-            Sieve::with_backend(WireSqlBackend::new(base_db.clone()), options.clone())
-                .expect("wire backend init");
-        *wire_sieve.groups_mut() = campus.dataset.groups.clone();
-        wire_sieve
-            .add_policies(campus.policies.iter().cloned())
-            .expect("policies");
-        let (wire_prep, wire_exec, wire_rows) =
-            measure(&mut wire_sieve, &q, &qm, cfg.warm_reps);
-        assert_eq!(
-            mini_rows, wire_rows,
-            "backends must return identical result sets"
-        );
-        let trips = wire_sieve.backend().round_trips();
-        assert!(trips as usize >= cfg.warm_reps, "wire path must be exercised");
+    let mut wire_sieve = Sieve::with_backend(WireSqlBackend::new(base_db.clone()), options.clone())
+        .expect("wire backend init");
+    *wire_sieve.groups_mut() = campus.dataset.groups.clone();
+    wire_sieve
+        .add_policies(campus.policies.iter().cloned())
+        .expect("policies");
+    let (wire_prep, wire_exec, wire_rows) = measure(&mut wire_sieve, &q, &qm, cfg.warm_reps);
+    assert_eq!(
+        mini_rows, wire_rows,
+        "backends must return identical result sets"
+    );
+    let trips = wire_sieve.backend().round_trips();
+    assert!(
+        trips as usize >= cfg.warm_reps,
+        "wire path must be exercised"
+    );
 
-        // Isolate the dispatch itself: render + parse of the *rewritten*
-        // query, which is all the wire adds over the in-process call.
-        let rewritten = wire_sieve.rewrite(&q, &qm).expect("rewrite").query;
-        let sql = minidb::sql::render_query(&rewritten);
-        let t = Instant::now();
-        for _ in 0..cfg.dispatch_reps {
-            let parsed = minidb::sql::parse(&sql).expect("reparse");
-            std::hint::black_box(&parsed);
-        }
-        let parse_ms = ms(t.elapsed()) / cfg.dispatch_reps as f64;
-        let t = Instant::now();
-        for _ in 0..cfg.dispatch_reps {
-            std::hint::black_box(minidb::sql::render_query(&rewritten));
-        }
-        let render_ms = ms(t.elapsed()) / cfg.dispatch_reps as f64;
+    // Isolate the dispatch itself: render + parse of the *rewritten*
+    // query, which is all the wire adds over the in-process call.
+    let rewritten = wire_sieve.rewrite(&q, &qm).expect("rewrite").query;
+    let sql = minidb::sql::render_query(&rewritten);
+    let t = Instant::now();
+    for _ in 0..cfg.dispatch_reps {
+        let parsed = minidb::sql::parse(&sql).expect("reparse");
+        std::hint::black_box(&parsed);
+    }
+    let parse_ms = ms(t.elapsed()) / cfg.dispatch_reps as f64;
+    let t = Instant::now();
+    for _ in 0..cfg.dispatch_reps {
+        std::hint::black_box(minidb::sql::render_query(&rewritten));
+    }
+    let render_ms = ms(t.elapsed()) / cfg.dispatch_reps as f64;
 
-        // ---- Server-side prepared path: render + parse once at prepare
-        // time, every warm execute goes by statement id with bound
-        // parameters. Four session handles model a small connection pool
-        // preparing the same statement — the template intern cache parses
-        // the shared text once.
-        let service = wire_sieve.service().clone();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                service
-                    .session(qm.clone())
-                    .prepare(q.clone())
-                    .expect("wire prepare")
-            })
-            .collect();
-        let prepared = &handles[0];
-        let prepared_rows = prepared.execute().expect("prepared warm-up").len();
-        assert_eq!(
-            prepared_rows, mini_rows,
-            "prepared path must return identical rows"
-        );
-        // Interleave the two pinned-plan loops block by block: the gate
-        // compares figures in the tens of µs, and measuring them in
-        // separate time windows lets scheduler/frequency drift between
-        // the windows masquerade as dispatch overhead. Paired blocks see
-        // the same environment; the best block on each side is the cost.
-        let mut mini_prepared_exec_ms = f64::INFINITY;
-        let mut prepared_exec_ms = f64::INFINITY;
-        for _ in 0..6 {
-            mini_prepared_exec_ms = mini_prepared_exec_ms.min(best_block_ms(
-                cfg.warm_reps,
-                1,
-                || {
-                    mini_prepared.execute().expect("prepared execute");
-                },
-            ));
-            prepared_exec_ms = prepared_exec_ms.min(best_block_ms(cfg.warm_reps, 1, || {
-                prepared.execute().expect("prepared execute");
-            }));
-        }
+    // ---- Server-side prepared path: render + parse once at prepare
+    // time, every warm execute goes by statement id with bound
+    // parameters. Four session handles model a small connection pool
+    // preparing the same statement — the template intern cache parses
+    // the shared text once.
+    let service = wire_sieve.service().clone();
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            service
+                .session(qm.clone())
+                .prepare(q.clone())
+                .expect("wire prepare")
+        })
+        .collect();
+    let prepared = &handles[0];
+    let prepared_rows = prepared.execute().expect("prepared warm-up").len();
+    assert_eq!(
+        prepared_rows, mini_rows,
+        "prepared path must return identical rows"
+    );
+    // Interleave the two pinned-plan loops block by block: the gate
+    // compares figures in the tens of µs, and measuring them in
+    // separate time windows lets scheduler/frequency drift between
+    // the windows masquerade as dispatch overhead. Paired blocks see
+    // the same environment; the best block on each side is the cost.
+    let mut mini_prepared_ms = f64::INFINITY;
+    let mut prepared_exec_ms = f64::INFINITY;
+    for _ in 0..6 {
+        mini_prepared_ms = mini_prepared_ms.min(best_block_ms(cfg.warm_reps, 1, || {
+            mini_prepared.execute().expect("prepared execute");
+        }));
+        prepared_exec_ms = prepared_exec_ms.min(best_block_ms(cfg.warm_reps, 1, || {
+            prepared.execute().expect("prepared execute");
+        }));
+    }
+    let (stmt_prepares, stmt_hits, stmt_execs) = {
         let backend = wire_sieve.backend();
-        let numbers = WireNumbers {
-            warm_prepare_ms: wire_prep,
-            warm_exec_ms: wire_exec,
-            sql_bytes: sql.len(),
-            render_ms,
-            parse_ms,
-            round_trips: trips,
-            prepared_exec_ms,
-            mini_prepared_exec_ms,
-            stmt_prepares: backend.prepares(),
-            stmt_template_hits: backend.template_hits(),
-            stmt_executions: backend.prepared_execs(),
-        };
-        drop(backend);
-        drop(handles);
-        Some(numbers)
+        (
+            backend.prepares(),
+            backend.template_hits(),
+            backend.prepared_execs(),
+        )
     };
-    #[cfg(not(feature = "wire-sql"))]
-    let wire: Option<WireNumbers> = None;
+    drop(handles);
 
-    let mini_prepared_ms = wire
-        .as_ref()
-        .map(|w| w.mini_prepared_exec_ms)
-        .unwrap_or_else(|| {
-            best_block_ms(cfg.warm_reps, 6, || {
-                mini_prepared.execute().expect("prepared execute");
-            })
-        });
-
-    let mut rows_out = vec![
+    let overhead_ms = wire_exec - mini_exec;
+    let overhead_pct = 100.0 * overhead_ms / mini_exec.max(f64::EPSILON);
+    // Prepared-vs-prepared: both sides execute a pinned plan, so the
+    // difference is pure statement dispatch. Clamped at zero — with
+    // text off the wire it can land inside measurement noise.
+    let prep_overhead_ms = (prepared_exec_ms - mini_prepared_ms).max(0.0);
+    let prep_overhead_pct = 100.0 * prep_overhead_ms / mini_prepared_ms.max(f64::EPSILON);
+    let hit_rate = stmt_hits as f64 / (stmt_prepares as f64).max(1.0);
+    let rows_out = vec![
         vec!["querier".into(), format!("{querier} ({policy_count} policies)")],
         vec!["result rows".into(), mini_rows.to_string()],
         vec!["minidb warm prepare ms".into(), format!("{mini_prep:.4}")],
@@ -300,127 +240,105 @@ fn main() {
             "minidb warm exec ms (prepared)".into(),
             format!("{mini_prepared_ms:.4}"),
         ],
+        vec!["wire warm prepare ms".into(), format!("{wire_prep:.4}")],
+        vec!["wire warm exec ms (text)".into(), format!("{wire_exec:.4}")],
+        vec![
+            "dispatch overhead ms/query (text)".into(),
+            format!("{overhead_ms:.4}"),
+        ],
+        vec![
+            "dispatch overhead % (text)".into(),
+            format!("{overhead_pct:.1}%"),
+        ],
+        vec![
+            "wire warm exec ms (prepared)".into(),
+            format!("{prepared_exec_ms:.4}"),
+        ],
+        vec![
+            "dispatch overhead ms/query (prepared)".into(),
+            format!("{prep_overhead_ms:.4}"),
+        ],
+        vec![
+            "dispatch overhead % (prepared)".into(),
+            format!("{prep_overhead_pct:.1}%"),
+        ],
+        vec![
+            "statement cache hit rate".into(),
+            format!("{hit_rate:.2} ({stmt_hits}/{stmt_prepares} prepares)"),
+        ],
+        vec!["prepared executions".into(), stmt_execs.to_string()],
+        vec!["render ms/query".into(), format!("{render_ms:.4}")],
+        vec!["parse ms/query".into(), format!("{parse_ms:.4}")],
+        vec!["rewritten SQL bytes".into(), sql.len().to_string()],
+        vec!["wire round trips".into(), trips.to_string()],
     ];
-    if let Some(w) = wire {
-        let overhead_ms = w.warm_exec_ms - mini_exec;
-        let overhead_pct = 100.0 * overhead_ms / mini_exec.max(f64::EPSILON);
-        // Prepared-vs-prepared: both sides execute a pinned plan, so the
-        // difference is pure statement dispatch. Clamped at zero — with
-        // text off the wire it can land inside measurement noise.
-        let prep_overhead_ms = (w.prepared_exec_ms - mini_prepared_ms).max(0.0);
-        let prep_overhead_pct = 100.0 * prep_overhead_ms / mini_prepared_ms.max(f64::EPSILON);
-        let hit_rate = w.stmt_template_hits as f64 / (w.stmt_prepares as f64).max(1.0);
-        rows_out.extend([
-            vec!["wire warm prepare ms".into(), format!("{:.4}", w.warm_prepare_ms)],
-            vec!["wire warm exec ms (text)".into(), format!("{:.4}", w.warm_exec_ms)],
-            vec!["dispatch overhead ms/query (text)".into(), format!("{overhead_ms:.4}")],
-            vec!["dispatch overhead % (text)".into(), format!("{overhead_pct:.1}%")],
-            vec![
-                "wire warm exec ms (prepared)".into(),
-                format!("{:.4}", w.prepared_exec_ms),
-            ],
-            vec![
-                "dispatch overhead ms/query (prepared)".into(),
-                format!("{prep_overhead_ms:.4}"),
-            ],
-            vec![
-                "dispatch overhead % (prepared)".into(),
-                format!("{prep_overhead_pct:.1}%"),
-            ],
-            vec![
-                "statement cache hit rate".into(),
-                format!("{hit_rate:.2} ({}/{} prepares)", w.stmt_template_hits, w.stmt_prepares),
-            ],
-            vec!["prepared executions".into(), w.stmt_executions.to_string()],
-            vec!["render ms/query".into(), format!("{:.4}", w.render_ms)],
-            vec!["parse ms/query".into(), format!("{:.4}", w.parse_ms)],
-            vec!["rewritten SQL bytes".into(), w.sql_bytes.to_string()],
-            vec!["wire round trips".into(), w.round_trips.to_string()],
-        ]);
-        let _ = writeln!(out, "{}", render(&["metric", "value"], &rows_out));
-        let _ = writeln!(
-            out,
-            "(dispatch overhead = warm wire exec − warm in-process exec; the guard\n\
-             cache sits above the backend seam, so warm prepare must match\n\
-             BENCH_hotpath.json's warm number on both backends. The prepared rows\n\
-             execute by statement id — render+parse paid once at prepare time —\n\
-             and are timed as the best block-mean of 6 blocks on both sides, so\n\
-             the overhead gate compares true costs, not scheduler noise.)"
+    let _ = writeln!(out, "{}", render(&["metric", "value"], &rows_out));
+    let _ = writeln!(
+        out,
+        "(dispatch overhead = warm wire exec − warm in-process exec; the guard\n\
+         cache sits above the backend seam, so warm prepare must match\n\
+         BENCH_hotpath.json's warm number on both backends. The prepared rows\n\
+         execute by statement id — render+parse paid once at prepare time —\n\
+         and are timed as the best block-mean of 6 blocks on both sides, so\n\
+         the overhead gate compares true costs, not scheduler noise.)"
+    );
+    emit("bench_backend", &out);
+    let json = format!(
+        "{{\n  \
+           \"bench\": \"backend\",\n  \
+           \"quick\": {quick},\n  \
+           \"scale\": {scale},\n  \
+           \"days\": {days},\n  \
+           \"querier_policies\": {policy_count},\n  \
+           \"result_rows\": {mini_rows},\n  \
+           \"warm_reps\": {reps},\n  \
+           \"minidb\": {{\n    \
+             \"warm_prepare_ms\": {mini_prep:.4},\n    \
+             \"warm_exec_ms\": {mini_exec:.4},\n    \
+             \"prepared_exec_ms\": {mini_prepared_ms:.4}\n  \
+           }},\n  \
+           \"wire_sql\": {{\n    \
+             \"warm_prepare_ms\": {wire_prep:.4},\n    \
+             \"warm_exec_ms\": {wire_exec:.4},\n    \
+             \"rewritten_sql_bytes\": {sql_bytes},\n    \
+             \"render_ms_per_query\": {render_ms:.4},\n    \
+             \"parse_ms_per_query\": {parse_ms:.4}\n  \
+           }},\n  \
+           \"wire_prepared\": {{\n    \
+             \"warm_exec_ms\": {prep_exec:.4},\n    \
+             \"dispatch_overhead_ms\": {prep_overhead_ms:.4},\n    \
+             \"dispatch_overhead_pct\": {prep_overhead_pct:.2},\n    \
+             \"statement_prepares\": {stmt_prepares},\n    \
+             \"template_cache_hits\": {stmt_hits},\n    \
+             \"template_cache_hit_rate\": {hit_rate:.2},\n    \
+             \"prepared_executions\": {stmt_execs}\n  \
+           }},\n  \
+           \"dispatch_overhead_ms\": {overhead_ms:.4},\n  \
+           \"dispatch_overhead_pct\": {overhead_pct:.2}\n\
+         }}\n",
+        quick = cfg.quick,
+        scale = cfg.env.scale,
+        days = cfg.env.days,
+        reps = cfg.warm_reps,
+        sql_bytes = sql.len(),
+        prep_exec = prepared_exec_ms,
+    );
+    write_json("BENCH_backend", &json);
+    // CI gate: the prepared path is the product of this seam — if its
+    // warm dispatch overhead regresses past the threshold, fail loudly
+    // rather than letting the tax creep back in.
+    if cfg.quick {
+        assert!(
+            prep_overhead_pct < PREPARED_OVERHEAD_GATE_PCT
+                || prep_overhead_ms < PREPARED_OVERHEAD_GATE_FLOOR_MS,
+            "prepared-wire dispatch overhead {prep_overhead_ms:.4} ms \
+             ({prep_overhead_pct:.1}%) breaches the {PREPARED_OVERHEAD_GATE_PCT}% / \
+             {PREPARED_OVERHEAD_GATE_FLOOR_MS} ms gate (text path: {overhead_pct:.1}%)"
         );
-        emit("bench_backend", &out);
-        let json = format!(
-            "{{\n  \
-               \"bench\": \"backend\",\n  \
-               \"quick\": {quick},\n  \
-               \"scale\": {scale},\n  \
-               \"days\": {days},\n  \
-               \"querier_policies\": {policy_count},\n  \
-               \"result_rows\": {mini_rows},\n  \
-               \"warm_reps\": {reps},\n  \
-               \"minidb\": {{\n    \
-                 \"warm_prepare_ms\": {mini_prep:.4},\n    \
-                 \"warm_exec_ms\": {mini_exec:.4},\n    \
-                 \"prepared_exec_ms\": {mini_prepared_ms:.4}\n  \
-               }},\n  \
-               \"wire_sql\": {{\n    \
-                 \"warm_prepare_ms\": {wire_prep:.4},\n    \
-                 \"warm_exec_ms\": {wire_exec:.4},\n    \
-                 \"rewritten_sql_bytes\": {sql_bytes},\n    \
-                 \"render_ms_per_query\": {render_ms:.4},\n    \
-                 \"parse_ms_per_query\": {parse_ms:.4}\n  \
-               }},\n  \
-               \"wire_prepared\": {{\n    \
-                 \"warm_exec_ms\": {prep_exec:.4},\n    \
-                 \"dispatch_overhead_ms\": {prep_overhead_ms:.4},\n    \
-                 \"dispatch_overhead_pct\": {prep_overhead_pct:.2},\n    \
-                 \"statement_prepares\": {stmt_prepares},\n    \
-                 \"template_cache_hits\": {stmt_hits},\n    \
-                 \"template_cache_hit_rate\": {hit_rate:.2},\n    \
-                 \"prepared_executions\": {stmt_execs}\n  \
-               }},\n  \
-               \"dispatch_overhead_ms\": {overhead_ms:.4},\n  \
-               \"dispatch_overhead_pct\": {overhead_pct:.2}\n\
-             }}\n",
-            quick = cfg.quick,
-            scale = cfg.env.scale,
-            days = cfg.env.days,
-            reps = cfg.warm_reps,
-            wire_prep = w.warm_prepare_ms,
-            wire_exec = w.warm_exec_ms,
-            sql_bytes = w.sql_bytes,
-            render_ms = w.render_ms,
-            parse_ms = w.parse_ms,
-            prep_exec = w.prepared_exec_ms,
-            stmt_prepares = w.stmt_prepares,
-            stmt_hits = w.stmt_template_hits,
-            stmt_execs = w.stmt_executions,
+        eprintln!(
+            "[gate ok: prepared dispatch overhead {prep_overhead_ms:.4} ms \
+             ({prep_overhead_pct:.1}%) within the {PREPARED_OVERHEAD_GATE_PCT}% / \
+             {PREPARED_OVERHEAD_GATE_FLOOR_MS} ms gate]"
         );
-        let _ = std::fs::create_dir_all("results");
-        let path = std::path::Path::new("results").join("BENCH_backend.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => eprintln!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-        // CI gate: the prepared path is the product of this seam — if its
-        // warm dispatch overhead regresses past the threshold, fail loudly
-        // rather than letting the tax creep back in.
-        if cfg.quick {
-            assert!(
-                prep_overhead_pct < PREPARED_OVERHEAD_GATE_PCT
-                    || prep_overhead_ms < PREPARED_OVERHEAD_GATE_FLOOR_MS,
-                "prepared-wire dispatch overhead {prep_overhead_ms:.4} ms \
-                 ({prep_overhead_pct:.1}%) breaches the {PREPARED_OVERHEAD_GATE_PCT}% / \
-                 {PREPARED_OVERHEAD_GATE_FLOOR_MS} ms gate (text path: {overhead_pct:.1}%)"
-            );
-            eprintln!(
-                "[gate ok: prepared dispatch overhead {prep_overhead_ms:.4} ms \
-                 ({prep_overhead_pct:.1}%) within the {PREPARED_OVERHEAD_GATE_PCT}% / \
-                 {PREPARED_OVERHEAD_GATE_FLOOR_MS} ms gate]"
-            );
-        }
-    } else {
-        let _ = writeln!(out, "{}", render(&["metric", "value"], &rows_out));
-        let _ = writeln!(out, "(wire-sql feature disabled: in-process numbers only)");
-        emit("bench_backend", &out);
     }
 }

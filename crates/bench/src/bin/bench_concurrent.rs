@@ -26,7 +26,7 @@
 //! actually has the cores (a 1-core container caps every thread count at
 //! 1x by construction).
 
-use sieve_bench::harness::{build_campus, emit, EnvConfig};
+use sieve_bench::harness::{build_campus, emit, ms, write_json, EnvConfig};
 use sieve_bench::table::render;
 use sieve_core::policy::{ObjectCondition, Policy, QuerierSpec};
 use sieve_core::{CondPredicate, Prepared, SieveService};
@@ -60,10 +60,6 @@ impl Config {
             writer_policies: if quick { 8 } else { 24 },
         }
     }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 /// Replay the shared prepared handles from `threads` threads for a fixed
@@ -315,10 +311,5 @@ fn main() {
         thr = thr_json.join(", "),
         wp = cfg.writer_policies,
     );
-    let _ = std::fs::create_dir_all("results");
-    let path = std::path::Path::new("results").join("BENCH_concurrent.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_json("BENCH_concurrent", &json);
 }

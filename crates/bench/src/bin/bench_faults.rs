@@ -3,7 +3,7 @@
 //! Three questions, answered against the campus workload:
 //!
 //! 1. **What does the retry plumbing cost when nothing fails?** A warm
-//!    `Prepared` replay over a raw `MinidbBackend` vs the same backend
+//!    `Prepared` replay over a raw `Database` backend vs the same backend
 //!    wrapped in `FaultInjectingBackend` at fault rate 0 — a transparent
 //!    pass-through, so the delta is exactly the injection bookkeeping
 //!    plus the service retry loop. Gated in `--quick` CI runs: the warm
@@ -15,7 +15,7 @@
 //!    wire backend the wiped statement registry then surfaces
 //!    `UnknownStatement`, which the session re-prepares transparently.
 //!    Reported as mean/max time-to-recover next to the warm execute.
-//! 3. **Re-prepare latency under a 4-session storm** (wire-sql only):
+//! 3. **Re-prepare latency under a 4-session storm** (wire-sql):
 //!    four warm `Prepared` handles, one drop wipes every server-side
 //!    statement, four threads execute concurrently. Wall time until all
 //!    four recover; asserts exactly 4 re-prepares per round (one per
@@ -25,12 +25,14 @@
 //! Results go to stdout, `results/bench_faults.txt`, and
 //! `results/BENCH_faults.json` (the CI artifact).
 
-use sieve_bench::harness::{build_campus, emit, queriers_with_policies, Campus, EnvConfig};
+use sieve_bench::harness::{
+    best_block_ms, build_campus, emit, ms, queriers_with_policies, write_json, Campus, EnvConfig,
+};
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
 use sieve_core::{
-    Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, Sieve, SieveOptions, SieveService,
-    SqlBackend,
+    Fault, FaultConfig, FaultInjectingBackend, Sieve, SieveOptions, SieveService, SqlBackend,
+    WireSqlBackend,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,7 +42,6 @@ struct Config {
     env: EnvConfig,
     warm_reps: usize,
     drop_rounds: usize,
-    #[cfg_attr(not(feature = "wire-sql"), allow(dead_code))]
     storm_rounds: usize,
 }
 
@@ -75,25 +76,6 @@ const WARM_FAULT_OVERHEAD_GATE_PCT: f64 = 5.0;
 /// still trips the gate.
 const WARM_FAULT_OVERHEAD_GATE_FLOOR_MS: f64 = 0.01;
 
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Best block-mean over `blocks` blocks of `reps` calls, in ms/call
-/// (same estimator as `bench_backend`: transient stalls only ever slow
-/// a block down, so the minimum converges on the true cost).
-fn best_block_ms(reps: usize, blocks: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..blocks {
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(ms(t.elapsed()) / reps as f64);
-    }
-    best
-}
-
 /// Stand up a service over `backend` with the campus policy corpus.
 fn service_over<B: SqlBackend>(backend: B, campus: &Campus) -> SieveService<B> {
     let mut sieve = Sieve::with_backend(backend, SieveOptions::default()).expect("backend init");
@@ -105,7 +87,6 @@ fn service_over<B: SqlBackend>(backend: B, campus: &Campus) -> SieveService<B> {
 }
 
 struct DropNumbers {
-    backend: &'static str,
     warm_ms: f64,
     recover_mean_ms: f64,
     recover_max_ms: f64,
@@ -114,11 +95,10 @@ struct DropNumbers {
     reprepares: u64,
 }
 
-/// Time-to-recover after a scripted connection drop, on whichever
-/// backend the build has (wire-sql when available, else in-process).
-fn drop_recovery<B: SqlBackend>(
-    inner: B,
-    backend: &'static str,
+/// Time-to-recover after a scripted connection drop on the wire-SQL
+/// backend.
+fn drop_recovery(
+    inner: WireSqlBackend,
     campus: &Campus,
     qm: &QueryMetadata,
     q: &minidb::SelectQuery,
@@ -143,7 +123,6 @@ fn drop_recovery<B: SqlBackend>(
     }
     let stats = service.recovery_stats();
     DropNumbers {
-        backend,
         warm_ms,
         recover_mean_ms: mean(&samples).unwrap_or(0.0),
         recover_max_ms: samples.iter().copied().fold(0.0, f64::max),
@@ -153,7 +132,6 @@ fn drop_recovery<B: SqlBackend>(
     }
 }
 
-#[cfg(feature = "wire-sql")]
 struct StormNumbers {
     recover_mean_ms: f64,
     recover_max_ms: f64,
@@ -193,9 +171,9 @@ fn main() {
     let base_db: minidb::Database = campus.sieve.db().clone();
 
     // ---- 1. Warm no-fault overhead: raw backend vs rate-0 wrapper.
-    let raw_service = service_over(MinidbBackend::new(base_db.clone()), &campus);
+    let raw_service = service_over(base_db.clone(), &campus);
     let faulty_service = service_over(
-        FaultInjectingBackend::new(MinidbBackend::new(base_db.clone()), FaultConfig::default()),
+        FaultInjectingBackend::new(base_db.clone(), FaultConfig::default()),
         &campus,
     );
     let raw_prepared = raw_service
@@ -231,20 +209,8 @@ fn main() {
     assert_eq!((warm_stats.retries, warm_stats.exhausted), (0, 0));
 
     // ---- 2. Time-to-recover after a connection drop.
-    #[cfg(feature = "wire-sql")]
     let drop = drop_recovery(
-        sieve_core::WireSqlBackend::new(base_db.clone()),
-        "wire-sql",
-        &campus,
-        &qm,
-        &q,
-        cfg.warm_reps,
-        cfg.drop_rounds,
-    );
-    #[cfg(not(feature = "wire-sql"))]
-    let drop = drop_recovery(
-        MinidbBackend::new(base_db.clone()),
-        "minidb",
+        WireSqlBackend::new(base_db.clone()),
         &campus,
         &qm,
         &q,
@@ -252,12 +218,11 @@ fn main() {
         cfg.drop_rounds,
     );
 
-    // ---- 3. Re-prepare under a 4-session storm (wire-sql only).
-    #[cfg(feature = "wire-sql")]
+    // ---- 3. Re-prepare under a 4-session storm.
     let storm = {
         let service = service_over(
             FaultInjectingBackend::new(
-                sieve_core::WireSqlBackend::new(base_db.clone()),
+                WireSqlBackend::new(base_db.clone()),
                 FaultConfig::default(),
             ),
             &campus,
@@ -305,8 +270,7 @@ fn main() {
     };
 
     // ---- Report.
-    #[cfg_attr(not(feature = "wire-sql"), allow(unused_mut))]
-    let mut rows_out: Vec<Vec<String>> = vec![
+    let rows_out: Vec<Vec<String>> = vec![
         vec!["querier policies".into(), policy_count.to_string()],
         vec!["result rows".into(), raw_rows.to_string()],
         vec!["warm exec, raw backend".into(), format!("{raw_ms:.4} ms")],
@@ -319,36 +283,30 @@ fn main() {
             format!("{overhead_ms:.4} ms ({overhead_pct:.1}%)"),
         ],
         vec![
-            format!("[{}] warm prepared exec", drop.backend),
+            "[wire-sql] warm prepared exec".into(),
             format!("{:.4} ms", drop.warm_ms),
         ],
         vec![
-            format!("[{}] recover after drop, mean/max", drop.backend),
+            "[wire-sql] recover after drop, mean/max".into(),
             format!("{:.3} / {:.3} ms", drop.recover_mean_ms, drop.recover_max_ms),
         ],
         vec![
-            format!("[{}] drops healed (reconnects)", drop.backend),
+            "[wire-sql] drops healed (reconnects)".into(),
             format!("{} over {} rounds", drop.reconnects, drop.rounds),
         ],
+        vec!["[wire-sql] re-prepares".into(), drop.reprepares.to_string()],
         vec![
-            format!("[{}] re-prepares", drop.backend),
-            drop.reprepares.to_string(),
-        ],
-    ];
-    #[cfg(feature = "wire-sql")]
-    {
-        rows_out.push(vec![
             "[wire-sql] 4-session storm recover, mean/max".into(),
             format!(
                 "{:.3} / {:.3} ms",
                 storm.recover_mean_ms, storm.recover_max_ms
             ),
-        ]);
-        rows_out.push(vec![
+        ],
+        vec![
             "[wire-sql] storm re-prepares per round".into(),
             storm.reprepares_per_round.to_string(),
-        ]);
-    }
+        ],
+    ];
     let _ = writeln!(out, "{}", render(&["metric", "value"], &rows_out));
 
     let gate_pass =
@@ -369,14 +327,11 @@ fn main() {
     }
     emit("bench_faults", &out);
 
-    #[cfg(feature = "wire-sql")]
     let storm_json = format!(
         "{{\"recover_mean_ms\": {:.4}, \"recover_max_ms\": {:.4}, \
          \"rounds\": {}, \"reprepares_per_round\": {}}}",
         storm.recover_mean_ms, storm.recover_max_ms, storm.rounds, storm.reprepares_per_round
     );
-    #[cfg(not(feature = "wire-sql"))]
-    let storm_json = "null".to_string();
     let json = format!(
         "{{\n  \
            \"bench\": \"faults\",\n  \
@@ -390,7 +345,7 @@ fn main() {
            \"warm_gate_pct\": {WARM_FAULT_OVERHEAD_GATE_PCT},\n  \
            \"warm_gate_floor_ms\": {WARM_FAULT_OVERHEAD_GATE_FLOOR_MS},\n  \
            \"warm_gate_pass\": {gate_pass},\n  \
-           \"drop\": {{\"backend\": \"{dbackend}\", \"warm_ms\": {dwarm:.5}, \
+           \"drop\": {{\"backend\": \"wire-sql\", \"warm_ms\": {dwarm:.5}, \
              \"recover_mean_ms\": {dmean:.4}, \"recover_max_ms\": {dmax:.4}, \
              \"rounds\": {drounds}, \"reconnects\": {dreconn}, \"reprepares\": {dreprep}}},\n  \
            \"storm\": {storm_json}\n\
@@ -398,7 +353,6 @@ fn main() {
         quick = cfg.quick,
         scale = cfg.env.scale,
         days = cfg.env.days,
-        dbackend = drop.backend,
         dwarm = drop.warm_ms,
         dmean = drop.recover_mean_ms,
         dmax = drop.recover_max_ms,
@@ -406,10 +360,5 @@ fn main() {
         dreconn = drop.reconnects,
         dreprep = drop.reprepares,
     );
-    let _ = std::fs::create_dir_all("results");
-    let path = std::path::Path::new("results").join("BENCH_faults.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_json("BENCH_faults", &json);
 }

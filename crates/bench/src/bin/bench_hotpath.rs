@@ -29,7 +29,7 @@ use minidb::exec::ExecOptions;
 use minidb::expr::{ColumnRef, Expr};
 use minidb::plan::{IndexHint, TableRef};
 use minidb::{SelectQuery, Value};
-use sieve_bench::harness::{build_campus, emit, queriers_with_policies, EnvConfig};
+use sieve_bench::harness::{build_campus, emit, ms, queriers_with_policies, write_json, EnvConfig};
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
 use sieve_workload::WIFI_TABLE;
@@ -60,10 +60,6 @@ impl Config {
             filter_reps: if quick { 3 } else { 6 },
         }
     }
-}
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -407,10 +403,5 @@ fn main() {
         fb = stats.fragment_builds,
         fh = stats.fragment_hits,
     );
-    let _ = std::fs::create_dir_all("results");
-    let path = std::path::Path::new("results").join("BENCH_hotpath.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_json("BENCH_hotpath", &json);
 }

@@ -21,7 +21,7 @@
 //! querier count at the 100-querier scenario; `SIEVE_SCALE`/`SIEVE_DAYS`
 //! are honoured otherwise.
 
-use sieve_bench::harness::{build_campus, emit, EnvConfig};
+use sieve_bench::harness::{build_campus, emit, ms, write_json, EnvConfig};
 use sieve_bench::table::render;
 use sieve_workload::traffic::{multi_querier_traffic, TrafficConfig};
 use std::fmt::Write as _;
@@ -47,10 +47,6 @@ impl Config {
             queriers: if quick { 100 } else { 150 },
         }
     }
-}
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -194,10 +190,5 @@ fn main() {
         days = cfg.env.days,
         queriers = requests.len(),
     );
-    let _ = std::fs::create_dir_all("results");
-    let path = std::path::Path::new("results").join("BENCH_multiquerier.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_json("BENCH_multiquerier", &json);
 }

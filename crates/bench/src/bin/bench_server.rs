@@ -24,6 +24,7 @@
 //! Results go to stdout, `results/bench_server.txt`, and
 //! `results/BENCH_server.json` (the CI artifact).
 
+use sieve_bench::harness::{emit, ms, write_json};
 use sieve_bench::table::render;
 use sieve_client::RemoteConnection;
 use sieve_core::policy::{
@@ -139,10 +140,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -377,7 +374,7 @@ fn main() {
         "single-flight broke: {cold_generations} cold generations for {} keys",
         cfg.queriers
     );
-    sieve_bench::harness::emit("bench_server", &out);
+    emit("bench_server", &out);
 
     let json = format!(
         "{{\n  \
@@ -412,10 +409,5 @@ fn main() {
         wp = cfg.writer_policies,
         coalesced = cache.coalesced,
     );
-    let _ = std::fs::create_dir_all("results");
-    let path = std::path::Path::new("results").join("BENCH_server.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_json("BENCH_server", &json);
 }

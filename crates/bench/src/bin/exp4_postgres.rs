@@ -32,7 +32,7 @@ use sieve_core::baselines::Baseline;
 use sieve_core::filter::relevant_policies;
 use sieve_core::middleware::Enforcement;
 use sieve_core::policy::{Policy, QueryMetadata};
-use sieve_core::{MinidbBackend, Sieve, SieveOptions, SqlBackend};
+use sieve_core::{Sieve, SieveOptions, SqlBackend, WireSqlBackend};
 use sieve_workload::WIFI_TABLE;
 use std::fmt::Write as _;
 
@@ -71,11 +71,10 @@ fn run_subset(
 ) -> Option<f64> {
     let mut db = base_db.clone();
     db.set_profile(profile);
-    run_subset_on(MinidbBackend::new(db), groups, policies, enforcement, qm, env)
+    run_subset_on(db, groups, policies, enforcement, qm, env)
 }
 
 /// `SIEVE(P)` through the wire-SQL backend (render → parse → execute).
-#[cfg(feature = "wire-sql")]
 fn run_subset_wire(
     base_db: &Database,
     groups: &sieve_core::GroupDirectory,
@@ -86,24 +85,13 @@ fn run_subset_wire(
     let mut db = base_db.clone();
     db.set_profile(DbProfile::PostgresLike);
     run_subset_on(
-        sieve_core::WireSqlBackend::new(db),
+        WireSqlBackend::new(db),
         groups,
         policies,
         Enforcement::Sieve,
         qm,
         env,
     )
-}
-
-#[cfg(not(feature = "wire-sql"))]
-fn run_subset_wire(
-    _base_db: &Database,
-    _groups: &sieve_core::GroupDirectory,
-    _policies: &[Policy],
-    _qm: &QueryMetadata,
-    _env: &EnvConfig,
-) -> Option<f64> {
-    None
 }
 
 fn main() {

@@ -25,7 +25,7 @@
 //! fits a CI step; the full run sweeps every eligible querier.
 
 use minidb::{Database, DbProfile};
-use sieve_bench::harness::{build_campus, emit, queriers_with_policies, EnvConfig};
+use sieve_bench::harness::{build_campus, emit, queriers_with_policies, write_json, EnvConfig};
 use sieve_core::analyze::{self, AnalysisReport, CheckRecord, Finding, FindingKind, Verdict};
 use sieve_core::filter::relevant_policies;
 use sieve_core::policy::{Policy, PolicyId, QueryMetadata};
@@ -254,14 +254,8 @@ fn main() {
     let tippers = audit_tippers(&cfg);
     let mall = audit_mall(&cfg);
 
-    let _ = std::fs::create_dir_all("results");
     for r in [&tippers, &mall] {
-        let path = std::path::Path::new("results").join(format!("ANALYZE_{}.json", r.scenario));
-        if let Err(e) = std::fs::write(&path, r.to_json()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("[saved {}]", path.display());
-        }
+        write_json(&format!("ANALYZE_{}", r.scenario), &r.to_json());
         scenario_summary(&mut out, r);
     }
 

@@ -8,7 +8,7 @@ use sieve_core::{Sieve, SieveOptions};
 use sieve_workload::profiles::UserProfile;
 use sieve_workload::tippers::{generate as generate_tippers, TippersConfig, TippersDataset};
 use sieve_workload::policy_gen::{generate_policies, PolicyGenConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Environment knobs read from the process environment so the same
 /// binaries drive quick runs and near-paper-scale runs:
@@ -199,17 +199,48 @@ pub fn time_enforcement<B: sieve_core::SqlBackend>(
     }
 }
 
+/// A duration in milliseconds.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// Best block-mean over `blocks` blocks of `reps` calls, in ms/call.
+/// The gated overheads compare figures of tens of µs on a shared host; a
+/// single mean drifts with scheduler noise, while the best block is
+/// stable run to run (transient stalls only ever slow a block down, so
+/// the minimum converges on the true cost).
+pub fn best_block_ms(reps: usize, blocks: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..blocks {
+        let t = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        best = best.min(ms(t.elapsed()) / reps as f64);
+    }
+    best
+}
+
+/// Write `content` to `results/<file>`, reporting the outcome on stderr.
+fn save(file: &str, content: &str) {
+    let dir = std::path::Path::new("results");
+    let _ = std::fs::create_dir_all(dir);
+    let path = dir.join(file);
+    match std::fs::write(&path, content) {
+        Ok(()) => eprintln!("[saved {}]", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
+
 /// Write experiment output both to stdout and `results/<name>.txt`.
 pub fn emit(name: &str, content: &str) {
     println!("{content}");
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.txt"));
-    if let Err(e) = std::fs::write(&path, content) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[saved {}]", path.display());
-    }
+    save(&format!("{name}.txt"), content);
+}
+
+/// Write a machine-readable bench record to `results/<name>.json`.
+pub fn write_json(name: &str, json: &str) {
+    save(&format!("{name}.json"), json);
 }
 
 #[cfg(test)]

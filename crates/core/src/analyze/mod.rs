@@ -476,7 +476,6 @@ mod tests {
 
     #[test]
     fn fragment_verification_covers_inline_and_delta() {
-        use crate::backend::MinidbBackend;
         use crate::cost::CostModel;
         use crate::delta::DeltaRegistry;
         use crate::rewrite::{compile_guard_fragment, DeltaMode};
@@ -497,11 +496,10 @@ mod tests {
             "wifi_dataset",
         );
         let map = by_id(&policies);
-        let backend = MinidbBackend::new(db);
         let delta = DeltaRegistry::new();
         for mode in [DeltaMode::Never, DeltaMode::Always] {
             let fragment = compile_guard_fragment(
-                &backend,
+                &db,
                 &delta,
                 &ge,
                 &map,

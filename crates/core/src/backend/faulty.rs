@@ -451,17 +451,16 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MinidbBackend;
     use minidb::value::DataType;
     use minidb::TableSchema;
 
-    fn tiny() -> MinidbBackend {
+    fn tiny() -> Database {
         let mut db = Database::new(DbProfile::MySqlLike);
         db.create_table(TableSchema::of("t", &[("id", DataType::Int)])).unwrap();
         for i in 0..5i64 {
             db.insert("t", vec![Value::Int(i)]).unwrap();
         }
-        MinidbBackend::new(db)
+        db
     }
 
     #[test]

@@ -22,17 +22,16 @@
 //!
 //! Two backends ship:
 //!
-//! * [`MinidbBackend`] — a thin wrapper over the in-process engine; the
-//!   hermetic default ([`crate::Sieve`]'s default type parameter).
-//! * [`WireSqlBackend`] (feature `wire-sql`, on by default) — accepts
-//!   only SQL **text**: every query is rendered with
-//!   [`minidb::sql::render_query`], crosses a simulated wire, and is
-//!   re-parsed before execution. This exercises exactly the path a
-//!   network backend uses, making render fidelity load-bearing.
+//! * [`Database`] itself — the in-process engine, executing query ASTs
+//!   directly; the hermetic default ([`crate::Sieve`]'s and
+//!   [`crate::SieveService`]'s default type parameter).
+//! * [`WireSqlBackend`] — accepts only SQL **text**: every query is
+//!   rendered with [`minidb::sql::render_query`], crosses a simulated
+//!   wire, and is re-parsed before execution. This exercises exactly the
+//!   path a network backend uses, making render fidelity load-bearing.
 //!
-//! A documented [`postgres`]-feature stub records what a real
-//! `tokio-postgres` backend needs; network crates are unavailable in
-//! this build environment.
+//! What a real PostgreSQL backend would need on top of the wire path is
+//! recorded in the README's backend section.
 //!
 //! Queries travel as SQL text; the administrative surface (catalog reads,
 //! DDL, UDF installation) uses the backend's native channel, as the
@@ -51,17 +50,9 @@ use std::fmt;
 use std::sync::Arc;
 
 pub mod faulty;
-mod minidb_backend;
-#[cfg(feature = "postgres")]
-mod postgres;
-#[cfg(feature = "wire-sql")]
 mod wire;
 
 pub use faulty::{Fault, FaultConfig, FaultCounts, FaultInjectingBackend};
-pub use minidb_backend::MinidbBackend;
-#[cfg(feature = "postgres")]
-pub use postgres::PostgresBackend;
-#[cfg(feature = "wire-sql")]
 pub use wire::WireSqlBackend;
 
 /// A typed backend failure, classified by what recovery it admits.
@@ -332,11 +323,11 @@ impl<T: SqlBackend + ?Sized> SqlBackend for Box<T> {
     }
 }
 
-/// A bare [`Database`] is itself a backend (the identity wiring): this is
-/// what lets every existing `&Database` call site — oracles, tests,
-/// experiment binaries — coerce straight into the trait surface. Under
-/// [`crate::Sieve`], prefer [`MinidbBackend`], which participates in the
-/// middleware's write-epoch staleness tracking.
+/// The in-process backend: SIEVE calling straight into the embedded
+/// engine. Query ASTs reach the executor without a serialization round —
+/// the zero-overhead baseline the wire backend is measured against
+/// (`bench_backend`). Every `&Database` call site (oracles, tests,
+/// experiment binaries) coerces straight into the trait surface.
 impl SqlBackend for Database {
     fn name(&self) -> &'static str {
         "minidb"
@@ -381,8 +372,8 @@ impl SqlBackend for Database {
 /// one closure body serves every backend.
 pub type DynBackend = Box<dyn SqlBackend>;
 
-/// Run `f` once per available backend over a copy of `db` (deep clone per
-/// backend, so mutations never leak across runs). The equivalence and
+/// Run `f` once per backend (`"minidb"`, then `"wire-sql"`) over a copy
+/// of `db` (deep clone per backend, so mutations never leak across runs). The equivalence and
 /// bypass oracle suites use this to pin the trait seam itself: whatever
 /// they assert must hold for the in-process backend **and** the wire-SQL
 /// backend, with identical results.
@@ -394,10 +385,10 @@ pub fn for_each_backend<F>(db: &Database, options: &crate::SieveOptions, mut f: 
 where
     F: FnMut(&'static str, crate::middleware::Sieve<DynBackend>),
 {
-    let mut backends: Vec<(&'static str, DynBackend)> = Vec::new();
-    backends.push(("minidb", Box::new(MinidbBackend::new(db.clone()))));
-    #[cfg(feature = "wire-sql")]
-    backends.push(("wire-sql", Box::new(WireSqlBackend::new(db.clone()))));
+    let backends: [(&'static str, DynBackend); 2] = [
+        ("minidb", Box::new(db.clone())),
+        ("wire-sql", Box::new(WireSqlBackend::new(db.clone()))),
+    ];
     for (name, backend) in backends {
         let sieve = crate::middleware::Sieve::with_backend(backend, options.clone())
             .unwrap_or_else(|e| panic!("backend {name} failed to initialize: {e}"));
@@ -439,7 +430,7 @@ mod tests {
 
     #[test]
     fn boxed_backend_delegates() {
-        let boxed: DynBackend = Box::new(MinidbBackend::new(tiny_db()));
+        let boxed: DynBackend = Box::new(tiny_db());
         assert_eq!(boxed.name(), "minidb");
         let (res, stats) =
             boxed.exec_timed(&SelectQuery::star_from("t"), &ExecOptions::default());
@@ -455,8 +446,6 @@ mod tests {
             assert!(sieve.backend().has_relation("t"));
             seen.push(name);
         });
-        assert!(seen.contains(&"minidb"));
-        #[cfg(feature = "wire-sql")]
-        assert!(seen.contains(&"wire-sql"));
+        assert_eq!(seen, ["minidb", "wire-sql"]);
     }
 }

@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn minidb_backend_has_no_server_side_statements() {
-        let backend = super::super::MinidbBackend::new(db());
+        let backend = db();
         let q = SelectQuery::star_from("t");
         assert!(backend.prepare(&q).unwrap().is_none());
         assert!(backend

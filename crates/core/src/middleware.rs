@@ -12,9 +12,9 @@
 //!
 //! Queries come in with their metadata, get rewritten against the
 //! querier's guarded expressions, and the rewritten query is executed by
-//! whatever engine the backend reaches — the in-process
-//! [`MinidbBackend`] by default, or the textual `WireSqlBackend` that
-//! ships rendered SQL across a simulated wire. Policies enter through
+//! whatever engine the backend reaches — the in-process [`Database`] by
+//! default, or the textual [`crate::WireSqlBackend`] that ships rendered
+//! SQL across a simulated wire. Policies enter through
 //! [`Sieve::add_policy`], which marks affected guarded expressions
 //! outdated; regeneration happens lazily at query time per the
 //! configured [`RegenerationPolicy`] (Sections 5.1 and 6).
@@ -25,7 +25,7 @@
 //! it trails, so row estimates, owner-fallback guards and compiled ∆
 //! partitions can never act on data mutated underneath them.
 
-use crate::backend::{MinidbBackend, SqlBackend};
+use crate::backend::SqlBackend;
 use crate::baselines::Baseline;
 use crate::batch::BatchPrepareReport;
 use crate::cache::GuardCacheStats;
@@ -36,7 +36,7 @@ use crate::guard::{GuardSelectionStrategy, GuardedExpression};
 use crate::policy::{Policy, PolicyId, QueryMetadata};
 use crate::error::SieveResult;
 use crate::rewrite::{RewriteOptions, RewriteOutput};
-use crate::service::{MappedReadGuard, RecoveryStats, ServiceShared, SieveService};
+use crate::service::{RecoveryStats, ServiceShared, SieveService};
 use minidb::plan::SelectQuery;
 use minidb::stats::ExecStats;
 use minidb::{Database, QueryResult};
@@ -131,20 +131,20 @@ pub enum Enforcement {
 /// The single-owner middleware, generic over its execution backend. The
 /// default parameter keeps every pre-existing `Sieve` call site compiling
 /// against the in-process engine.
-pub struct Sieve<B: SqlBackend = MinidbBackend> {
+pub struct Sieve<B: SqlBackend = Database> {
     service: SieveService<B>,
 }
 
-impl Sieve<MinidbBackend> {
-    /// Wrap an in-process database behind the default backend. Installs
-    /// the ∆ UDF; creates the policy relations when persistence is on.
+impl Sieve<Database> {
+    /// Serve an in-process database. Installs the ∆ UDF; creates the
+    /// policy relations when persistence is on.
     pub fn new(db: Database, options: SieveOptions) -> SieveResult<Self> {
-        Self::with_backend(MinidbBackend::new(db), options)
+        Self::with_backend(db, options)
     }
 
-    /// The wrapped database (read access; holds the backend read lock
-    /// for the guard's lifetime).
-    pub fn db(&self) -> MappedReadGuard<'_, MinidbBackend, Database> {
+    /// The database (read access; holds the backend read lock for the
+    /// guard's lifetime).
+    pub fn db(&self) -> RwLockReadGuard<'_, Database> {
         self.service.db()
     }
 
@@ -155,10 +155,9 @@ impl Sieve<MinidbBackend> {
     ///
     /// Requires exclusive ownership of the underlying service — panics if
     /// a [`Sieve::service`] clone or session handle is still alive (use
-    /// [`SieveService::with_db_mut`] in that case).
+    /// [`SieveService::with_backend_mut`] in that case).
     pub fn db_mut(&mut self) -> &mut Database {
-        self.bump_backend_epoch();
-        self.shared_mut().backend.get_mut().db_mut()
+        self.backend_mut()
     }
 }
 
@@ -358,17 +357,6 @@ impl<B: SqlBackend> Sieve<B> {
         qm: &QueryMetadata,
     ) -> (SieveResult<QueryResult>, ExecStats) {
         self.service.run_timed(enforcement, query, qm)
-    }
-
-    /// Produce the executable query for an enforcement mechanism without
-    /// running it.
-    pub fn prepare(
-        &mut self,
-        enforcement: Enforcement,
-        query: &SelectQuery,
-        qm: &QueryMetadata,
-    ) -> SieveResult<SelectQuery> {
-        self.service.prepare(enforcement, query, qm)
     }
 
     /// Parse SQL, then [`Sieve::execute`]. Repeat textual queries reuse

@@ -64,7 +64,7 @@
 //! execution with zero cache traffic while fresh.
 
 use crate::analyze;
-use crate::backend::{BackendError, MinidbBackend, SqlBackend};
+use crate::backend::{BackendError, SqlBackend};
 use crate::baselines::{
     rewrite_baseline_i, rewrite_baseline_p, rewrite_baseline_u, Baseline,
 };
@@ -95,8 +95,7 @@ use minidb::plan::SelectQuery;
 use minidb::stats::ExecStats;
 use minidb::{Database, QueryResult};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::ops::Deref;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,35 +111,13 @@ pub const SQL_CACHE_CAP: usize = 256;
 /// calling thread — spawning costs more than the set covers save.
 const PARALLEL_BATCH_MIN: usize = 8;
 
-/// How many recent [`SieveService::prepare`] outputs keep their ∆
-/// partitions pinned service-side. Covers the experiment harness's
-/// prepare-then-execute pattern (including a handful of interleaved
-/// prepares from other threads) without letting discarded prepared
-/// queries pin partitions forever.
-pub const BASELINE_PIN_SLOTS: usize = 16;
-
 /// Everything that keeps one prepared query executable: the compiled
 /// fragments it references (Sieve path) and directly registered ∆
-/// handles (Baseline U path).
+/// handles (Baseline U path). Held only for its drop.
 #[derive(Default)]
 struct PreparePins {
-    fragments: Vec<Arc<crate::rewrite::GuardFragment>>,
-    handles: Vec<PartitionHandle>,
-}
-
-/// A read guard projected to a component of the locked value (e.g. the
-/// `Database` inside a locked `MinidbBackend`). Derefs to the projection;
-/// holding it holds the underlying read lock.
-pub struct MappedReadGuard<'a, T: ?Sized, U: ?Sized> {
-    guard: RwLockReadGuard<'a, T>,
-    map: fn(&T) -> &U,
-}
-
-impl<T: ?Sized, U: ?Sized> Deref for MappedReadGuard<'_, T, U> {
-    type Target = U;
-    fn deref(&self) -> &U {
-        (self.map)(&self.guard)
-    }
+    _fragments: Vec<Arc<crate::rewrite::GuardFragment>>,
+    _handles: Vec<PartitionHandle>,
 }
 
 pub(crate) struct PersistState {
@@ -195,11 +172,6 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
     pub(crate) cache: GuardCache,
     pub(crate) protected: RwLock<HashSet<String>>,
     pub(crate) persist: Mutex<PersistState>,
-    /// Pins of the last [`BASELINE_PIN_SLOTS`] `prepare` outputs, oldest
-    /// dropped first (see [`SieveService::prepare`] for the contract). A
-    /// mutex because `prepare` is an experiment path, not the concurrent
-    /// hot path.
-    baseline_pins: Mutex<VecDeque<PreparePins>>,
     sql_cache: RwLock<crate::lru::LruMap<Arc<SelectQuery>>>,
     pub(crate) generations: AtomicU64,
     pub(crate) recovery: RecoveryCounters,
@@ -208,7 +180,7 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
 /// The concurrent SIEVE middleware handle. Clones share all state; see
 /// the [module docs](self) for the locking design. The single-owner
 /// [`crate::Sieve`] façade is a thin wrapper over this type.
-pub struct SieveService<B: SqlBackend = MinidbBackend> {
+pub struct SieveService<B: SqlBackend = Database> {
     pub(crate) inner: Arc<ServiceShared<B>>,
 }
 
@@ -220,30 +192,19 @@ impl<B: SqlBackend> Clone for SieveService<B> {
     }
 }
 
-impl SieveService<MinidbBackend> {
-    /// Wrap an in-process database behind the default backend. Installs
-    /// the ∆ UDF; creates the policy relations when persistence is on.
+impl SieveService<Database> {
+    /// Serve an in-process database. Installs the ∆ UDF; creates the
+    /// policy relations when persistence is on.
     pub fn new(db: Database, options: SieveOptions) -> SieveResult<Self> {
-        Self::with_backend(MinidbBackend::new(db), options)
+        Self::with_backend(db, options)
     }
 
-    /// Read access to the wrapped database (holds the backend read lock).
+    /// Read access to the database (holds the backend read lock).
     ///
     /// Do not call back into the service while holding this guard: a
     /// writer queued behind it would deadlock the re-entrant read.
-    pub fn db(&self) -> MappedReadGuard<'_, MinidbBackend, Database> {
-        MappedReadGuard {
-            guard: self.inner.backend.read(),
-            map: |b| b.db(),
-        }
-    }
-
-    /// Run `f` with mutable access to the wrapped database (e.g. for
-    /// loading data). Takes the backend write lock — waits for in-flight
-    /// queries — and bumps the backend epoch: guards generated before
-    /// this access regenerate lazily on their next use.
-    pub fn with_db_mut<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        self.with_backend_mut(|b| f(b.db_mut()))
+    pub fn db(&self) -> RwLockReadGuard<'_, Database> {
+        self.inner.backend.read()
     }
 }
 
@@ -272,7 +233,6 @@ impl<B: SqlBackend> SieveService<B> {
                     guard_ids: GuardTableIds::default(),
                     oc_id: 0,
                 }),
-                baseline_pins: Mutex::new(VecDeque::new()),
                 sql_cache: RwLock::new(crate::lru::LruMap::new(SQL_CACHE_CAP)),
                 generations: AtomicU64::new(0),
                 recovery: RecoveryCounters::default(),
@@ -438,7 +398,6 @@ impl<B: SqlBackend> SieveService<B> {
     /// as the last in-flight pins drop.
     pub fn invalidate_all(&self) {
         self.inner.cache.clear();
-        self.inner.baseline_pins.lock().clear();
         self.inner.revision.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -983,36 +942,8 @@ impl<B: SqlBackend> SieveService<B> {
 
     /// Produce the executable query for an enforcement mechanism without
     /// running it (rewriting cost is *not* part of the measured times, as
-    /// in the paper, which reports warm per-query execution).
-    ///
-    /// The returned query's ∆ partitions are pinned in a bounded
-    /// service-side slot until [`BASELINE_PIN_SLOTS`] further `prepare`
-    /// calls have happened — enough for the harness's
-    /// prepare-then-execute pattern, but **not** a concurrency guarantee:
-    /// a prepared query held across many other prepares (or an
-    /// invalidation, for the Sieve path) may stop executing. Concurrent
-    /// callers should use [`crate::session::Session::prepare`], whose
-    /// [`crate::session::Prepared`] handle pins its plan for its whole
-    /// lifetime and re-prepares transparently.
-    pub fn prepare(
-        &self,
-        enforcement: Enforcement,
-        query: &SelectQuery,
-        qm: &QueryMetadata,
-    ) -> SieveResult<SelectQuery> {
-        let (prepared, pins) = self.prepare_pinned(enforcement, query, qm)?;
-        if !(pins.handles.is_empty() && pins.fragments.is_empty()) {
-            let mut slots = self.inner.baseline_pins.lock();
-            if slots.len() >= BASELINE_PIN_SLOTS {
-                slots.pop_front();
-            }
-            slots.push_back(pins);
-        }
-        Ok(prepared)
-    }
-
-    /// [`SieveService::prepare`] returning the pins explicitly: the query
-    /// stays executable exactly as long as the caller holds them.
+    /// in the paper, which reports warm per-query execution). The query
+    /// stays executable exactly as long as the caller holds the pins.
     fn prepare_pinned(
         &self,
         enforcement: Enforcement,
@@ -1025,8 +956,8 @@ impl<B: SqlBackend> SieveService<B> {
                 Ok((
                     out.query,
                     PreparePins {
-                        fragments: out.fragments,
-                        handles: Vec::new(),
+                        _fragments: out.fragments,
+                        _handles: Vec::new(),
                     },
                 ))
             }
@@ -1076,8 +1007,8 @@ impl<B: SqlBackend> SieveService<B> {
                 Ok((
                     rewritten,
                     PreparePins {
-                        fragments: Vec::new(),
-                        handles,
+                        _fragments: Vec::new(),
+                        _handles: handles,
                     },
                 ))
             }
@@ -1359,10 +1290,9 @@ mod tests {
 
     #[test]
     fn service_and_handles_are_send_sync() {
-        assert_send_sync::<SieveService<MinidbBackend>>();
-        assert_send_sync::<crate::session::Session<MinidbBackend>>();
-        assert_send_sync::<crate::session::Prepared<MinidbBackend>>();
-        #[cfg(feature = "wire-sql")]
+        assert_send_sync::<SieveService<Database>>();
+        assert_send_sync::<crate::session::Session<Database>>();
+        assert_send_sync::<crate::session::Prepared<Database>>();
         assert_send_sync::<SieveService<crate::backend::WireSqlBackend>>();
         assert_send_sync::<SieveService<crate::backend::DynBackend>>();
     }

@@ -12,7 +12,7 @@ use sieve::core::policy::{
 };
 use sieve::core::semantics::visible_rows;
 use sieve::core::{
-    backend::for_each_backend, Session, Sieve, SieveOptions, SieveService,
+    backend::for_each_backend, Session, Sieve, SieveOptions, SieveService, WireSqlBackend,
 };
 use sieve::minidb::value::DataType;
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
@@ -245,7 +245,7 @@ fn prepared_statement_reprepares_on_epoch_and_revision_bumps() {
 
     // Out-of-band data load → backend epoch bump → transparent re-prepare
     // AND the new rows enforced + visible.
-    service.with_db_mut(|db| {
+    service.with_backend_mut(|db| {
         for i in 0..5i64 {
             db.insert(
                 REL,
@@ -300,10 +300,8 @@ fn prepared_statement_is_shareable_across_threads() {
 /// warm executes ship no SQL text, a revision bump swaps in a fresh
 /// statement (closing the stale one once its plan drops), and dropping
 /// the handle closes its statement.
-#[cfg(feature = "wire-sql")]
 #[test]
 fn prepared_pins_and_recycles_wire_statements() {
-    use sieve::core::backend::WireSqlBackend;
     let mut sieve =
         Sieve::with_backend(WireSqlBackend::new(loaded_db()), SieveOptions::default()).unwrap();
     register_corpus(&mut |p| {

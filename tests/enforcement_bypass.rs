@@ -545,7 +545,7 @@ fn deny_policies_are_enforced_on_every_backend() {
             assert_eq!(got, expect, "deny bypass via {name} for query {q:?}");
         }
     });
-    assert_eq!(backends, if cfg!(feature = "wire-sql") { 2 } else { 1 });
+    assert_eq!(backends, 2);
 }
 
 #[test]
@@ -562,14 +562,18 @@ fn baselines_fail_closed_on_nested_reads() {
             lhs: Box::new(Expr::Column(ColumnRef::bare("id"))),
             rhs: Box::new(Expr::ScalarSubquery(Box::new(count_star(REL)))),
         });
+        // Every run leaves the ∆ registry as it found it: Baseline U's
+        // partitions live exactly as long as the run that registered them.
         for q in [&nested, &overlap] {
             for b in [Baseline::P, Baseline::I, Baseline::U] {
-                let err = sieve.prepare(Enforcement::Baseline(b), q, &qm);
+                let partitions = sieve.delta_len();
+                let (res, _) = sieve.run_timed(Enforcement::Baseline(b), q, &qm);
                 assert!(
-                    err.is_err(),
+                    res.is_err(),
                     "baseline {b:?} via {backend} must refuse nested protected \
                      reads, not bypass them"
                 );
+                assert_eq!(sieve.delta_len(), partitions, "{b:?} via {backend}");
             }
         }
         // Top-level reads still work (including under a CTE that shadows
@@ -577,7 +581,10 @@ fn baselines_fail_closed_on_nested_reads() {
         // nested-scope question the baselines never see).
         let top = SelectQuery::star_from(REL);
         for b in [Baseline::P, Baseline::I, Baseline::U] {
-            assert!(sieve.prepare(Enforcement::Baseline(b), &top, &qm).is_ok());
+            let partitions = sieve.delta_len();
+            let (res, _) = sieve.run_timed(Enforcement::Baseline(b), &top, &qm);
+            assert!(res.is_ok(), "baseline {b:?} via {backend}: {res:?}");
+            assert_eq!(sieve.delta_len(), partitions, "{b:?} via {backend}");
         }
     });
 }

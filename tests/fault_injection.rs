@@ -14,9 +14,7 @@
 //! 3. **No leaks** — after the chaos stops, vended statements and ∆
 //!    partitions return to baseline.
 
-use sieve::core::backend::{
-    Fault, FaultConfig, FaultInjectingBackend, MinidbBackend, SqlBackend,
-};
+use sieve::core::backend::{Fault, FaultConfig, FaultInjectingBackend, SqlBackend, WireSqlBackend};
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
@@ -132,7 +130,7 @@ fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
 /// backend epoch moves so prepared plans re-prepare.
 #[test]
 fn connection_drop_is_retried_and_bumps_epoch() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let expect = oracle_for(&service, &qm);
     let q = SelectQuery::star_from(REL);
@@ -156,7 +154,7 @@ fn connection_drop_is_retried_and_bumps_epoch() {
 /// `RetriesExhausted` carrying the attempt count and last error.
 #[test]
 fn transient_storm_exhausts_retries() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let q = SelectQuery::star_from(REL);
     service.execute(&q, &qm).unwrap(); // warm: guards generated fault-free
@@ -182,7 +180,7 @@ fn transient_storm_exhausts_retries() {
 /// A shorter transient streak is absorbed entirely.
 #[test]
 fn short_transient_streak_is_absorbed() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let expect = oracle_for(&service, &qm);
     let q = SelectQuery::star_from(REL);
@@ -199,7 +197,7 @@ fn short_transient_streak_is_absorbed() {
 /// `Backend(Timeout)`, never retried.
 #[test]
 fn timeout_is_not_retried() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     let qm = QueryMetadata::new(500, "Analytics");
     let q = SelectQuery::star_from(REL);
     service.execute(&q, &qm).unwrap();
@@ -218,7 +216,7 @@ fn timeout_is_not_retried() {
 /// fails closed with a typed error — the raw query is never dispatched.
 #[test]
 fn rewrite_failure_fails_closed() {
-    let service = faulty_service(MinidbBackend::new(loaded_db()), FaultConfig::default());
+    let service = faulty_service(loaded_db(), FaultConfig::default());
     service.protect("shadow_records");
     let qm = QueryMetadata::new(500, "Analytics");
     let calls_before = service.backend().injectable_calls();
@@ -244,7 +242,7 @@ fn prepare_batch_fails_closed_mid_batch() {
         fault_catalog: true,
         ..FaultConfig::default()
     };
-    let service = faulty_service(MinidbBackend::new(loaded_db()), config);
+    let service = faulty_service(loaded_db(), config);
     let q = SelectQuery::star_from(REL);
     let requests: Vec<(QueryMetadata, SelectQuery)> = QUERIERS
         .iter()
@@ -275,10 +273,8 @@ fn prepare_batch_fails_closed_mid_batch() {
 /// Server-side statement eviction surfaces as `UnknownStatement` and the
 /// `Prepared` handle re-prepares exactly once — also under a thread
 /// storm, where every thread observed the same dead plan (single-flight).
-#[cfg(feature = "wire-sql")]
 #[test]
 fn evicted_statement_reprepares_exactly_once() {
-    use sieve::core::backend::WireSqlBackend;
     let service = faulty_service(WireSqlBackend::new(loaded_db()), FaultConfig::default());
     let session = service.session(QueryMetadata::new(500, "Analytics"));
     let expect = oracle_for(&service, session.metadata());
@@ -321,10 +317,8 @@ fn evicted_statement_reprepares_exactly_once() {
 /// A connection drop wipes the whole statement registry; the prepared
 /// handle recovers through the epoch bump and the statement count returns
 /// to exactly one.
-#[cfg(feature = "wire-sql")]
 #[test]
 fn connection_drop_recovers_prepared_statements() {
-    use sieve::core::backend::WireSqlBackend;
     let service = faulty_service(WireSqlBackend::new(loaded_db()), FaultConfig::default());
     let session = service.session(QueryMetadata::new(501, "Analytics"));
     let expect = oracle_for(&service, session.metadata());
@@ -450,15 +444,13 @@ fn chaos_hammer<B: SqlBackend>(service: SieveService<FaultInjectingBackend<B>>, 
 fn chaos_hammer_minidb_backend() {
     for seed in chaos_seeds() {
         let config = FaultConfig::seeded(seed, 0.3);
-        let service = faulty_service(MinidbBackend::new(loaded_db()), config);
+        let service = faulty_service(loaded_db(), config);
         chaos_hammer(service, &format!("minidb/seed {seed}"));
     }
 }
 
-#[cfg(feature = "wire-sql")]
 #[test]
 fn chaos_hammer_wire_backend() {
-    use sieve::core::backend::WireSqlBackend;
     for seed in chaos_seeds() {
         let config = FaultConfig::seeded(seed, 0.3);
         let service = faulty_service(WireSqlBackend::new(loaded_db()), config);
@@ -488,7 +480,7 @@ mod props {
         ) {
             let rate = f64::from(rate_pct) / 100.0;
             let config = FaultConfig::seeded(seed, rate);
-            let service = faulty_service(MinidbBackend::new(loaded_db()), config);
+            let service = faulty_service(loaded_db(), config);
             let qm = QueryMetadata::new(500, "Analytics");
             let expect = oracle_for(&service, &qm);
             let q = SelectQuery::star_from(REL);

@@ -7,9 +7,7 @@
 //! execution backends (in-process and wire-SQL).
 
 use proptest::prelude::*;
-use sieve::core::backend::{MinidbBackend, SqlBackend};
-#[cfg(feature = "wire-sql")]
-use sieve::core::backend::WireSqlBackend;
+use sieve::core::backend::{SqlBackend, WireSqlBackend};
 use sieve::minidb::exec::ExecOptions;
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
 use sieve::minidb::plan::{IndexHint, TableRef};
@@ -179,11 +177,10 @@ proptest! {
         reference.sort();
 
         let opts = ExecOptions::with_threads(threads);
-        #[cfg_attr(not(feature = "wire-sql"), allow(unused_mut))]
-        let mut backends: Vec<(&'static str, Box<dyn SqlBackend>)> =
-            vec![("minidb", Box::new(MinidbBackend::new(db.clone())))];
-        #[cfg(feature = "wire-sql")]
-        backends.push(("wire-sql", Box::new(WireSqlBackend::new(db.clone()))));
+        let backends: [(&'static str, Box<dyn SqlBackend>); 2] = [
+            ("minidb", Box::new(db.clone())),
+            ("wire-sql", Box::new(WireSqlBackend::new(db.clone()))),
+        ];
         for q in [&scan, &forced] {
             for (name, backend) in &backends {
                 let mut got = backend.exec(q, &opts).unwrap().rows;

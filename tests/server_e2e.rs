@@ -11,9 +11,7 @@
 //! half-parsed.
 
 use sieve::client::{ClientError, RemoteConnection};
-use sieve::core::backend::{
-    for_each_backend, FaultConfig, FaultInjectingBackend, MinidbBackend,
-};
+use sieve::core::backend::{for_each_backend, FaultConfig, FaultInjectingBackend};
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
@@ -184,10 +182,7 @@ fn remote_sessions_row_identical_to_in_process_oracle() {
 #[test]
 fn remote_results_row_identical_under_fault_injection() {
     let mut sieve = Sieve::with_backend(
-        FaultInjectingBackend::new(
-            MinidbBackend::new(loaded_db()),
-            FaultConfig::seeded(42, 0.3),
-        ),
+        FaultInjectingBackend::new(loaded_db(), FaultConfig::seeded(42, 0.3)),
         SieveOptions::default(),
     )
     .unwrap();
