@@ -8,7 +8,10 @@
 //!    1/2/4/8 threads replay the handles for a fixed wall-clock window.
 //!    Reported as queries/second per thread count; on a multi-core host
 //!    the `&self` hot path should scale near-linearly because warm
-//!    replays share only read locks and atomics.
+//!    replays share only read locks and atomics. The 1- and 2-thread
+//!    windows are timed as interleaved best-of-blocks and gated: with at
+//!    least 2 cores, 2 threads must reach [`SCALING_2V1_GATE`]× the
+//!    1-thread throughput or the run fails.
 //! 2. **Mixed read/write contention** — 4 reader threads replay prepared
 //!    statements while a writer inserts policies (each insert bumps the
 //!    revision, forcing every prepared statement through one transparent
@@ -35,6 +38,18 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Warm `Prepared` throughput at 2 threads must reach this multiple of
+/// the 1-thread throughput on a host with at least 2 cores. Replays that
+/// write one shared cache line per predicate (a process-wide atomic
+/// counter block) measured 0.6-0.9x here; per-query counters measure
+/// about 2x.
+const SCALING_2V1_GATE: f64 = 1.5;
+
+/// Interleaved 1-thread/2-thread window pairs behind the gate. Each side
+/// keeps its best window: a steal or scheduler episode only ever slows a
+/// window down, so one bad window cannot fail the gate.
+const SCALING_BLOCKS: usize = 5;
 
 struct Config {
     quick: bool,
@@ -176,16 +191,19 @@ fn main() {
     for p in prepared.iter() {
         p.execute().expect("warm");
     }
-    let thread_counts = [1usize, 2, 4, 8];
-    let mut throughputs: Vec<(usize, f64)> = Vec::new();
-    for &threads in &thread_counts {
+    let qps = |threads: usize| {
         let (execs, wall) = replay_window(&prepared, threads, cfg.window);
-        let qps = execs as f64 / wall.as_secs_f64();
-        throughputs.push((threads, qps));
+        execs as f64 / wall.as_secs_f64()
+    };
+    let (mut qps_1, mut qps_2) = (0.0f64, 0.0f64);
+    for _ in 0..SCALING_BLOCKS {
+        qps_1 = qps_1.max(qps(1));
+        qps_2 = qps_2.max(qps(2));
     }
-    let qps_1 = throughputs[0].1;
-    let qps_8 = throughputs.last().unwrap().1;
+    let throughputs: Vec<(usize, f64)> = vec![(1, qps_1), (2, qps_2), (4, qps(4)), (8, qps(8))];
+    let qps_8 = throughputs[3].1;
     let scaling = qps_8 / qps_1.max(f64::EPSILON);
+    let scaling_2 = qps_2 / qps_1.max(f64::EPSILON);
 
     // ---- 2. Mixed read/write contention: 4 readers + a policy writer.
     let stop = AtomicBool::new(false);
@@ -258,6 +276,10 @@ fn main() {
         ]);
     }
     rows_out.push(vec![
+        format!("scaling 1 -> 2 threads (best of {SCALING_BLOCKS} interleaved)"),
+        format!("{scaling_2:.2}x"),
+    ]);
+    rows_out.push(vec![
         "scaling 1 -> 8 threads".into(),
         format!("{scaling:.2}x"),
     ]);
@@ -298,6 +320,7 @@ fn main() {
            \"batchn_prepare_ms\": {batchn_prepare_ms:.3},\n  \
            \"batch_threads\": {batch_threads},\n  \
            \"warm_throughput\": [{thr}],\n  \
+           \"scaling_1_to_2\": {scaling_2:.3},\n  \
            \"scaling_1_to_8\": {scaling:.3},\n  \
            \"mixed_reader_qps\": {mixed_qps:.1},\n  \
            \"writer_policies\": {wp},\n  \
@@ -312,4 +335,17 @@ fn main() {
         wp = cfg.writer_policies,
     );
     write_json("BENCH_concurrent", &json);
+    // Gate: with the cores to scale on, warm replays must scale. A
+    // 1-core host cannot, so there the figure is only recorded.
+    if cores >= 2 {
+        assert!(
+            scaling_2 >= SCALING_2V1_GATE,
+            "warm Prepared throughput scales {scaling_2:.2}x from 1 to 2 threads \
+             ({qps_1:.1} -> {qps_2:.1} q/s), below the {SCALING_2V1_GATE}x gate"
+        );
+        eprintln!(
+            "[gate ok: warm Prepared throughput scales {scaling_2:.2}x from 1 to 2 \
+             threads, at least {SCALING_2V1_GATE}x]"
+        );
+    }
 }

@@ -370,14 +370,11 @@ impl<B: SqlBackend> SqlBackend for FaultInjectingBackend<B> {
     ) -> (BackendResult<QueryResult>, ExecStats) {
         let t0 = std::time::Instant::now();
         if let Some(e) = self.inject(None) {
-            return (
-                Err(e),
-                ExecStats {
-                    counters: Default::default(),
-                    wall: t0.elapsed(),
-                    simulated_cost: 0.0,
-                },
-            );
+            let stats = ExecStats {
+                wall: t0.elapsed(),
+                ..ExecStats::default()
+            };
+            return (Err(e), stats);
         }
         self.inner.exec_timed(query, opts)
     }

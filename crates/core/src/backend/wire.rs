@@ -157,14 +157,11 @@ impl SqlBackend for WireSqlBackend {
         let parsed = match self.ship(query) {
             Ok(p) => p,
             Err(e) => {
-                return (
-                    Err(BackendError::from(e)),
-                    ExecStats {
-                        counters: Default::default(),
-                        wall: t0.elapsed(),
-                        simulated_cost: 0.0,
-                    },
-                )
+                let stats = ExecStats {
+                    wall: t0.elapsed(),
+                    ..ExecStats::default()
+                };
+                return (Err(BackendError::from(e)), stats);
             }
         };
         let dispatch: Duration = t0.elapsed();

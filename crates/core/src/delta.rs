@@ -264,33 +264,19 @@ impl DeltaRegistry {
     }
 }
 
-struct DeltaUdf {
-    registry: Arc<DeltaRegistry>,
-}
-
-impl Udf for DeltaUdf {
-    fn invoke(&self, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
-        let key = args
-            .first()
-            .and_then(Value::as_int)
-            .ok_or_else(|| DbError::TypeError("delta: first arg must be partition key".into()))?;
-        let part = {
-            let inner = self.registry.inner.read();
-            inner
-                .partitions
-                .get(&key)
-                .cloned()
-                .ok_or_else(|| DbError::Unsupported(format!("delta: unknown partition {key}")))?
-        };
+impl CompiledPartition {
+    /// ∆ over one tuple's `(key, col_0 …)` arguments: only the tuple
+    /// owner's policies are checked.
+    fn check(&self, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
         // Context filtering: fetch only the tuple owner's policies. This
         // lookup stands in for the paper's indexed rP ⋈ rOC cursor and is
         // charged as one probe.
         ctx.stats.index_probes(1);
-        let owner = match args.get(part.owner_slot).and_then(Value::as_int) {
+        let owner = match args.get(self.owner_slot).and_then(Value::as_int) {
             Some(o) => o,
             None => return Ok(Value::Bool(false)),
         };
-        let Some(policies) = part.by_owner.get(&owner) else {
+        let Some(policies) = self.by_owner.get(&owner) else {
             return Ok(Value::Bool(false));
         };
         for cp in policies {
@@ -314,6 +300,49 @@ impl Udf for DeltaUdf {
     }
 }
 
+/// ∆ resolved to one partition: what a call site with a literal key
+/// specializes to, so per-tuple calls take no registry lock.
+impl Udf for CompiledPartition {
+    fn invoke(&self, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
+        self.check(args, ctx)
+    }
+}
+
+struct DeltaUdf {
+    registry: Arc<DeltaRegistry>,
+}
+
+impl DeltaUdf {
+    fn partition(&self, key: PartitionKey) -> DbResult<Arc<CompiledPartition>> {
+        let inner = self.registry.inner.read();
+        inner
+            .partitions
+            .get(&key)
+            .cloned()
+            .ok_or_else(|| DbError::Unsupported(format!("delta: unknown partition {key}")))
+    }
+}
+
+impl Udf for DeltaUdf {
+    fn invoke(&self, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
+        let key = args
+            .first()
+            .and_then(Value::as_int)
+            .ok_or_else(|| DbError::TypeError("delta: first arg must be partition key".into()))?;
+        self.partition(key)?.check(args, ctx)
+    }
+
+    /// Every rewrite passes the partition key as a literal, so the
+    /// partition is looked up once per execution. The running query pins
+    /// its partitions, so the resolved one stays current while it runs. An
+    /// unknown key stays unresolved and fails on its first call.
+    fn specialize(&self, literals: &[Option<&Value>]) -> Option<Arc<dyn Udf>> {
+        let key = literals.first().copied().flatten()?.as_int()?;
+        let part: Arc<dyn Udf> = self.partition(key).ok()?;
+        Some(part)
+    }
+}
+
 /// Build the ∆-call expression for a relation: `delta(key, col_0, …)` with
 /// columns referenced bare (bound inside the WITH body's layout).
 pub fn delta_call_expr(key: PartitionKey, schema: &TableSchema) -> minidb::Expr {
@@ -334,7 +363,7 @@ mod tests {
     use super::*;
     use crate::policy::{ObjectCondition, QuerierSpec};
     use minidb::value::DataType;
-    use minidb::StatsSink;
+    use minidb::CounterBlock;
 
     fn schema() -> TableSchema {
         TableSchema::of(
@@ -365,7 +394,7 @@ mod tests {
         let udf = DeltaUdf {
             registry: Arc::clone(reg),
         };
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let ctx = UdfContext { stats: &stats };
         let mut args = vec![Value::Int(key)];
         args.extend_from_slice(row);
@@ -411,7 +440,7 @@ mod tests {
         let udf = DeltaUdf {
             registry: Arc::clone(&reg),
         };
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let ctx = UdfContext { stats: &stats };
         let args = vec![
             Value::Int(key),
@@ -423,6 +452,33 @@ mod tests {
         udf.invoke(&args, &ctx).unwrap();
         // Only owner 3's single policy was checked, not all 50.
         assert_eq!(stats.snapshot().policy_evals, 1);
+    }
+
+    #[test]
+    fn literal_key_specializes_to_its_partition() {
+        let reg = DeltaRegistry::new();
+        let p = policy(7, 1200);
+        let handle = reg.register_partition(&schema(), &[&p]).unwrap();
+        let udf = reg.udf();
+        let key = Value::Int(handle.key());
+        let bound = udf.specialize(&[Some(&key)]).expect("a live key resolves");
+        let args = vec![
+            key,
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(1200),
+            Value::Time(0),
+        ];
+        let (generic, special) = (CounterBlock::new(), CounterBlock::new());
+        let want = udf.invoke(&args, &UdfContext { stats: &generic });
+        assert_eq!(bound.invoke(&args, &UdfContext { stats: &special }), want);
+        assert_eq!(want, Ok(Value::Bool(true)));
+        assert_eq!(special.snapshot(), generic.snapshot());
+        // Unknown and non-literal keys stay on the per-call lookup, which
+        // fails closed on a missing partition.
+        let unknown = Value::Int(handle.key() + 1);
+        assert!(udf.specialize(&[Some(&unknown)]).is_none());
+        assert!(udf.specialize(&[None]).is_none());
     }
 
     #[test]

@@ -98,7 +98,6 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Bound on the parsed-SQL cache (entries); repeat textual queries skip
 /// the parser. Eviction is LRU-on-access, one entry at a time — the same
@@ -900,10 +899,10 @@ impl<B: SqlBackend> SieveService<B> {
     }
 
     /// Execute and time a query under any enforcement mechanism; the
-    /// experiment harness's single entry point. Timing shares the
-    /// backend's statistics sink — drive it single-threaded. The ∆
-    /// partitions of the prepared query are pinned locally across the
-    /// execution, so a concurrent invalidation cannot fail the run.
+    /// experiment harness's single entry point. The returned counters are
+    /// this execution's own, exact under any number of concurrent callers.
+    /// The ∆ partitions of the prepared query are pinned locally across
+    /// the execution, so a concurrent invalidation cannot fail the run.
     pub fn run_timed(
         &self,
         enforcement: Enforcement,
@@ -912,26 +911,13 @@ impl<B: SqlBackend> SieveService<B> {
     ) -> (SieveResult<QueryResult>, ExecStats) {
         let (prepared, _pins) = match self.prepare_pinned(enforcement, query, qm) {
             Ok(t) => t,
-            Err(e) => {
-                return (
-                    Err(e),
-                    ExecStats {
-                        counters: Default::default(),
-                        wall: Duration::ZERO,
-                        simulated_cost: 0.0,
-                    },
-                )
-            }
+            Err(e) => return (Err(e), ExecStats::default()),
         };
         let opts = self.exec_options();
         // Retry with the stats of the *last* attempt: recovery time is the
         // caller's to observe via wall-clock, not folded into engine
         // counters from failed attempts.
-        let mut last_stats = ExecStats {
-            counters: Default::default(),
-            wall: Duration::ZERO,
-            simulated_cost: 0.0,
-        };
+        let mut last_stats = ExecStats::default();
         let res = self.with_backend_retry(|b| {
             let (r, stats) = b.exec_timed(&prepared, &opts);
             last_stats = stats;

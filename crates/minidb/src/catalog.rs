@@ -2,23 +2,26 @@
 //!
 //! A [`Database`] owns tables, their secondary indexes and histograms, the
 //! UDF registry, the optimizer profile (MySQL-like vs PostgreSQL-like), and
-//! the statistics sink. SIEVE is layered strictly on top of this façade —
+//! the cost weights of the simulated clock. It holds no execution counters:
+//! each query counts into its own block, which [`Database::run_timed`]
+//! returns. SIEVE is layered strictly on top of this façade —
 //! it only uses the public surface a middleware would have against a real
 //! DBMS: run a query, run EXPLAIN, register a UDF, read table statistics.
 
 use crate::error::{DbError, DbResult};
-use crate::exec::{execute, ExecOptions, QueryResult};
+use crate::exec::{execute, execute_counted, ExecOptions, QueryResult};
 use crate::explain::{explain_query, ExplainOutput};
 use crate::histogram::{Histogram, DEFAULT_BUCKETS};
 use crate::index::Index;
 use crate::plan::SelectQuery;
 use crate::planner::DbProfile;
 use crate::schema::TableSchema;
-use crate::stats::{CostWeights, ExecStats, StatsSink};
+use crate::stats::{CostWeights, CounterBlock, ExecStats};
 use crate::table::{Row, RowId, Table};
 use crate::udf::{Udf, UdfRegistry};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A table plus its access structures.
 #[derive(Debug, Clone)]
@@ -56,12 +59,16 @@ impl TableEntry {
 }
 
 /// An embedded database instance.
+///
+/// Cloning deep-copies tables, indexes and histograms; registered UDFs are
+/// shared (`Arc`). The experiment harness uses this to run one loaded
+/// dataset under several configurations.
+#[derive(Clone)]
 pub struct Database {
     tables: HashMap<String, TableEntry>,
     udfs: UdfRegistry,
     weights: CostWeights,
     profile: DbProfile,
-    stats: StatsSink,
 }
 
 impl Database {
@@ -72,7 +79,6 @@ impl Database {
             udfs: UdfRegistry::new(),
             weights: CostWeights::default(),
             profile,
-            stats: StatsSink::new(),
         }
     }
 
@@ -95,11 +101,6 @@ impl Database {
     /// Override cost weights.
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.weights = weights;
-    }
-
-    /// The shared statistics sink.
-    pub fn stats(&self) -> &StatsSink {
-        &self.stats
     }
 
     /// Create an empty table. Errors if the name is taken.
@@ -248,15 +249,24 @@ impl Database {
         execute(self, query, opts)
     }
 
-    /// Execute and return `(result, stats)` using the simulated+wall clocks.
+    /// Execute and return `(result, stats)` using the simulated+wall
+    /// clocks. The counters are this query's own, exact even while other
+    /// queries run concurrently on the same database.
     pub fn run_timed(
         &self,
         query: &SelectQuery,
         opts: &ExecOptions,
     ) -> (DbResult<QueryResult>, ExecStats) {
-        let (res, stats) = crate::stats::timed(&self.stats, &self.weights, || {
-            execute(self, query, opts)
-        });
+        let block = CounterBlock::new();
+        let start = Instant::now();
+        let res = execute_counted(self, query, opts, &block);
+        let wall = start.elapsed();
+        let counters = block.snapshot();
+        let stats = ExecStats {
+            counters,
+            wall,
+            simulated_cost: counters.simulated_cost(&self.weights),
+        };
         (res, stats)
     }
 
@@ -278,22 +288,6 @@ impl Database {
     pub fn run_sql(&self, sql: &str) -> DbResult<QueryResult> {
         let query = crate::sql::parse(sql)?;
         self.run_query(&query)
-    }
-}
-
-impl Clone for Database {
-    /// Deep-copies tables, indexes and histograms; registered UDFs are
-    /// shared (`Arc`), and the clone gets a **fresh** statistics sink so
-    /// measurements never bleed between instances. Used by the experiment
-    /// harness to run one loaded dataset under several configurations.
-    fn clone(&self) -> Self {
-        Database {
-            tables: self.tables.clone(),
-            udfs: self.udfs.clone(),
-            weights: self.weights,
-            profile: self.profile,
-            stats: StatsSink::new(),
-        }
     }
 }
 
@@ -343,9 +337,24 @@ mod tests {
         db.create_index("t", "owner").unwrap();
         db.insert("t", vec![Value::Int(100), Value::Int(99)]).unwrap();
         let entry = db.table("t").unwrap();
-        let stats = StatsSink::new();
-        let hits = entry.index_on("owner").unwrap().lookup(&Value::Int(99), &stats);
+        let hits = entry
+            .index_on("owner")
+            .unwrap()
+            .lookup(&Value::Int(99), &CounterBlock::new());
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn run_timed_counts_only_its_own_query() {
+        let db = db_with_table();
+        let scan = SelectQuery::star_from("t");
+        let (_, first) = db.run_timed(&scan, &ExecOptions::default());
+        assert_eq!(first.counters.tuples_read, 50);
+        assert_eq!(first.counters.tuples_output, 50);
+        // Earlier executions never leak into a later one's counts.
+        let (_, again) = db.run_timed(&scan, &ExecOptions::default());
+        assert_eq!(again.counters, first.counters);
+        assert!(again.simulated_cost > 0.0);
     }
 
     #[test]

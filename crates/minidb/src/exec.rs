@@ -5,7 +5,10 @@
 //! PostgreSQL materializes CTEs), then the body: per-table access, left-deep
 //! joins (index nested-loop when the inner side has a usable index, hash
 //! join otherwise), residual filters, GROUP BY/aggregates, projection, and
-//! LIMIT. All data movement is charged to the database's [`StatsSink`].
+//! LIMIT. All data movement is charged to the query's own
+//! [`CounterBlock`]: one block per execution, borrowed by nested subqueries
+//! and UDF calls, so a query's counts are exact however many other queries
+//! run at the same time.
 
 use crate::catalog::{Database, TableEntry};
 use crate::error::{DbError, DbResult};
@@ -16,7 +19,7 @@ use crate::planner::{
     PARALLEL_MIN_ROWS,
 };
 use crate::schema::{Column, TableSchema};
-use crate::stats::StatsSink;
+use crate::stats::{CounterBlock, Counters};
 use crate::table::{Row, RowId, ROWS_PER_PAGE};
 use crate::value::{DataType, Value};
 use std::collections::{HashMap, HashSet};
@@ -144,24 +147,44 @@ fn concat_rows(orow: &[Value], irow: &[Value]) -> Row {
 
 /// Execute a query against a database.
 pub fn execute(db: &Database, query: &SelectQuery, opts: &ExecOptions) -> DbResult<QueryResult> {
+    execute_counted(db, query, opts, &CounterBlock::new())
+}
+
+/// Execute a query, recording its events into `stats`.
+pub fn execute_counted(
+    db: &Database,
+    query: &SelectQuery,
+    opts: &ExecOptions,
+    stats: &CounterBlock,
+) -> DbResult<QueryResult> {
     let exec = Exec {
         db,
-        temps: Arc::new(HashMap::new()),
+        stats,
+        temps: &HashMap::new(),
         deadline: opts.timeout.map(|t| Instant::now() + t),
-        params: Arc::new(HashMap::new()),
+        params: &HashMap::new(),
         threads: opts.threads,
     };
     exec.run(query)
 }
 
+/// Materialized WITH results by name.
+type Temps = HashMap<String, Arc<TempTable>>;
+
+/// Correlation parameters by `alias.column` name.
+type Params = HashMap<String, Value>;
+
 struct Exec<'a> {
     db: &'a Database,
-    /// Materialized WITH results, shared by reference with every
+    /// The query's counters, shared with every sub-executor on this
+    /// thread. Parallel scan workers count into blocks of their own.
+    stats: &'a CounterBlock,
+    /// Materialized WITH results in scope, borrowed by every
     /// sub-executor (correlated subqueries spawn one per outer row).
-    temps: Arc<HashMap<String, Arc<TempTable>>>,
+    temps: &'a Temps,
     deadline: Option<Instant>,
-    /// Correlation parameters, shared the same way.
-    params: Arc<HashMap<String, Value>>,
+    /// Correlation parameters in scope.
+    params: &'a Params,
     /// Scan-parallelism knob from [`ExecOptions::threads`].
     threads: usize,
 }
@@ -172,22 +195,23 @@ impl QueryRunner for Exec<'_> {
         query: &SelectQuery,
         params: HashMap<String, Value>,
     ) -> DbResult<Vec<Row>> {
-        let nested = Exec {
-            db: self.db,
-            temps: Arc::clone(&self.temps),
-            deadline: self.deadline,
-            params: Arc::new(params),
-            // Correlated subqueries run once per outer row; nesting scan
-            // workers inside them would oversubscribe the pool.
-            threads: 0,
-        };
-        Ok(nested.run(query)?.rows)
+        // Correlated subqueries run once per outer row; nesting scan
+        // workers inside them would oversubscribe the pool.
+        Ok(self.scoped(self.temps, &params, 0).run(query)?.rows)
     }
 }
 
 impl<'a> Exec<'a> {
-    fn stats(&self) -> &StatsSink {
-        self.db.stats()
+    /// A sub-executor of the same query, with its own scope.
+    fn scoped<'b>(&'b self, temps: &'b Temps, params: &'b Params, threads: usize) -> Exec<'b> {
+        Exec {
+            db: self.db,
+            stats: self.stats,
+            temps,
+            deadline: self.deadline,
+            params,
+            threads,
+        }
     }
 
     fn check_deadline(&self) -> DbResult<()> {
@@ -203,12 +227,26 @@ impl<'a> Exec<'a> {
         self.params.keys().cloned().collect()
     }
 
+    /// Bind `predicate` over `layout` into a filter program whose UDF call
+    /// sites are resolved once for this execution.
+    fn filter_program(&self, predicate: Option<&Expr>, layout: &Layout) -> DbResult<FilterProgram> {
+        let bound = match predicate {
+            Some(p) => {
+                let mut b = bind(p, layout, None, &self.param_names())?;
+                b.resolve_udfs(self.db.udfs());
+                Some(b)
+            }
+            None => None,
+        };
+        Ok(FilterProgram::new(bound))
+    }
+
     fn eval_ctx(&'a self) -> EvalContext<'a> {
         EvalContext {
-            stats: self.stats(),
+            stats: self.stats,
             udfs: self.db.udfs(),
             runner: Some(self),
-            params: &self.params,
+            params: self.params,
         }
     }
 
@@ -218,30 +256,18 @@ impl<'a> Exec<'a> {
         }
         // Each WITH clause sees the ones before it; only the map itself is
         // rebuilt, the materialized tables are shared by Arc.
-        let mut temps = (*self.temps).clone();
+        let mut temps = self.temps.clone();
         for wc in &query.with {
-            let nested = Exec {
-                db: self.db,
-                temps: Arc::new(temps),
-                deadline: self.deadline,
-                params: Arc::clone(&self.params),
-                threads: self.threads,
-            };
-            let result = nested.run(&wc.query)?;
-            temps = Arc::try_unwrap(nested.temps).unwrap_or_else(|a| (*a).clone());
+            let result = self
+                .scoped(&temps, self.params, self.threads)
+                .run(&wc.query)?;
             temps.insert(
                 wc.name.clone(),
                 Arc::new(TempTable::from_result(&wc.name, result)),
             );
         }
-        let nested = Exec {
-            db: self.db,
-            temps: Arc::new(temps),
-            deadline: self.deadline,
-            params: Arc::clone(&self.params),
-            threads: self.threads,
-        };
-        nested.run_body(query)
+        self.scoped(&temps, self.params, self.threads)
+            .run_body(query)
     }
 
     fn resolve(&self, tref: &TableRef) -> DbResult<Rel<'a>> {
@@ -316,8 +342,7 @@ impl<'a> Exec<'a> {
         // Residual predicate (multi-table non-equi-join conjuncts).
         if !classified.residual.is_empty() {
             let residual = Expr::all(classified.residual.clone());
-            let program =
-                FilterProgram::new(Some(bind(&residual, &layout, None, &self.param_names())?));
+            let program = self.filter_program(Some(&residual), &layout)?;
             let ctx = self.eval_ctx();
             // Batch into a keep-mask, then compact in place: survivors are
             // moved, never cloned.
@@ -347,7 +372,7 @@ impl<'a> Exec<'a> {
         if let Some(limit) = query.limit {
             result.rows.truncate(limit);
         }
-        self.stats().outputs(result.rows.len() as u64);
+        self.stats.outputs(result.rows.len() as u64);
         Ok(result)
     }
 
@@ -359,12 +384,7 @@ impl<'a> Exec<'a> {
         hint: &IndexHint,
         predicate: Option<&Expr>,
     ) -> DbResult<Vec<Row>> {
-        let layout = Layout::single(alias, rel.schema());
-        let bound = match predicate {
-            Some(p) => Some(bind(p, &layout, None, &self.param_names())?),
-            None => None,
-        };
-        let program = FilterProgram::new(bound);
+        let program = self.filter_program(predicate, &Layout::single(alias, rel.schema()))?;
         // Constant-false predicates (e.g. a guarded expression with no
         // guards — default deny) read nothing.
         if program.drops_all() {
@@ -374,9 +394,9 @@ impl<'a> Exec<'a> {
         match rel {
             Rel::Temp(t) => {
                 // Temp tables have no indexes: sequential scan.
-                self.stats()
+                self.stats
                     .seq_pages((t.rows.len().div_ceil(ROWS_PER_PAGE)) as u64);
-                self.stats().tuples(t.rows.len() as u64);
+                self.stats.tuples(t.rows.len() as u64);
                 let mut out = Vec::new();
                 self.filter_batched(&t.rows, &program, &ctx, &mut out)?;
                 Ok(out)
@@ -424,8 +444,9 @@ impl<'a> Exec<'a> {
     /// Morsel-parallel filter: workers claim [`MORSEL_ROWS`]-sized chunks
     /// off a shared counter, filter them locally, and the survivors are
     /// concatenated in morsel order — row-identical to the sequential
-    /// path. The [`StatsSink`] is relaxed-atomic, so workers charge
-    /// predicate evaluations concurrently without coordination.
+    /// path. Each worker counts into a [`CounterBlock`] of its own; the
+    /// blocks are added to the query's once after the join, so the counts
+    /// equal the sequential path's exactly.
     fn filter_parallel(
         &self,
         rows: &[Row],
@@ -435,32 +456,25 @@ impl<'a> Exec<'a> {
         let morsels: Vec<&[Row]> = rows.chunks(MORSEL_ROWS).collect();
         let workers = self.threads.min(morsels.len());
         let next = AtomicUsize::new(0);
-        let mut results: Vec<DbResult<MorselOut>> = Vec::with_capacity(workers);
+        let (db, temps, deadline, params) = (self.db, self.temps, self.deadline, self.params);
+        let mut results: Vec<(DbResult<MorselOut>, Counters)> = Vec::with_capacity(workers);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    s.spawn(|| -> DbResult<MorselOut> {
-                        // Each worker builds its own context: `EvalContext`
-                        // borrows are cheap, and nested subqueries run
+                    s.spawn(|| {
+                        // A worker-local executor: nested subqueries run
                         // sequentially inside the owning worker.
-                        let ctx = self.eval_ctx();
-                        let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
-                        let mut local: MorselOut = Vec::new();
-                        loop {
-                            let m = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(chunk) = morsels.get(m) else {
-                                break;
-                            };
-                            self.check_deadline()?;
-                            let mut kept: Vec<Row> = Vec::new();
-                            for sub in chunk.chunks(FILTER_BATCH) {
-                                sel.clear();
-                                program.select_into(sub, |r| r.as_slice(), &ctx, &mut sel)?;
-                                kept.extend(sel.iter().map(|&i| sub[i as usize].clone()));
-                            }
-                            local.push((m, kept));
-                        }
-                        Ok(local)
+                        let stats = CounterBlock::new();
+                        let worker = Exec {
+                            db,
+                            stats: &stats,
+                            temps,
+                            deadline,
+                            params,
+                            threads: 0,
+                        };
+                        let kept = worker.filter_morsels(&morsels, &next, program);
+                        (kept, stats.snapshot())
                     })
                 })
                 .collect();
@@ -468,8 +482,11 @@ impl<'a> Exec<'a> {
                 results.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
         });
+        for (_, counters) in &results {
+            self.stats.add(counters);
+        }
         let mut per_morsel: Vec<Vec<Row>> = (0..morsels.len()).map(|_| Vec::new()).collect();
-        for r in results {
+        for (r, _) in results {
             for (m, kept) in r? {
                 per_morsel[m] = kept;
             }
@@ -478,6 +495,34 @@ impl<'a> Exec<'a> {
             out.append(kept);
         }
         Ok(())
+    }
+
+    /// One parallel worker's loop: claim morsels off `next` until none are
+    /// left, keeping each morsel's survivors under its index.
+    fn filter_morsels(
+        &self,
+        morsels: &[&[Row]],
+        next: &AtomicUsize,
+        program: &FilterProgram,
+    ) -> DbResult<MorselOut> {
+        let ctx = self.eval_ctx();
+        let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
+        let mut local: MorselOut = Vec::new();
+        loop {
+            let m = next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = morsels.get(m) else {
+                break;
+            };
+            self.check_deadline()?;
+            let mut kept: Vec<Row> = Vec::new();
+            for sub in chunk.chunks(FILTER_BATCH) {
+                sel.clear();
+                program.select_into(sub, |r| r.as_slice(), &ctx, &mut sel)?;
+                kept.extend(sel.iter().map(|&i| sub[i as usize].clone()));
+            }
+            local.push((m, kept));
+        }
+        Ok(local)
     }
 
     fn scan_base(
@@ -497,7 +542,7 @@ impl<'a> Exec<'a> {
                 // directly over the contiguous row slice in batches.
                 // `filter_batched` splits into parallel morsels exactly
                 // when the plan says ParallelScan (same thresholds).
-                let stats = self.stats();
+                let stats = self.stats;
                 stats.seq_pages(entry.table.page_count());
                 stats.tuples(entry.table.len() as u64);
                 let mut out = Vec::new();
@@ -509,7 +554,7 @@ impl<'a> Exec<'a> {
                 bitmap,
                 residual,
             } => {
-                let stats = self.stats();
+                let stats = self.stats;
                 if *bitmap {
                     // PostgreSQL-style: OR the row-id bitmaps, fetch once.
                     let mut ids: Vec<RowId> = Vec::new();
@@ -622,10 +667,7 @@ impl<'a> Exec<'a> {
 
         let inner_schema = rel.schema();
         let inner_layout = Layout::single(alias, inner_schema.clone());
-        let local_program = FilterProgram::new(match local {
-            Some(p) => Some(bind(p, &inner_layout, None, &self.param_names())?),
-            None => None,
-        });
+        let local_program = self.filter_program(local, &inner_layout)?;
         let ctx = self.eval_ctx();
 
         // Index nested-loop when the inner side is a base table with an
@@ -633,7 +675,7 @@ impl<'a> Exec<'a> {
         if let (Rel::Base(entry), Some((outer_slot, inner_col))) = (rel, keys.first()) {
             if let Some(idx) = entry.index_on(inner_col) {
                 let extra_keys = &keys[1..];
-                let stats = self.stats();
+                let stats = self.stats;
                 let mut out = Vec::new();
                 for (i, orow) in outer_rows.iter().enumerate() {
                     if i % 512 == 0 {
@@ -653,7 +695,7 @@ impl<'a> Exec<'a> {
                             let icol_idx = inner_schema
                                 .column_index(icol)
                                 .ok_or_else(|| DbError::UnknownColumn(icol.clone()))?;
-                            self.stats().predicates(1);
+                            self.stats.predicates(1);
                             if orow[*oslot] != irow[icol_idx] {
                                 ok = false;
                                 break;
@@ -695,7 +737,7 @@ impl<'a> Exec<'a> {
                             let icol_idx = inner_schema
                                 .column_index(icol)
                                 .ok_or_else(|| DbError::UnknownColumn(icol.clone()))?;
-                            self.stats().predicates(1);
+                            self.stats.predicates(1);
                             if orow[*oslot] != irow[icol_idx] {
                                 ok = false;
                                 break;
@@ -1275,14 +1317,15 @@ mod tests {
             CmpOp::Lt,
             Value::Int(40),
         ));
-        let seq = db.run_query(&q).unwrap();
+        let (seq, seq_stats) = db.run_timed(&q, &ExecOptions::default());
+        let seq = seq.unwrap();
         for threads in [2usize, 3, 8] {
-            let par = db
-                .run_query_opts(&q, &ExecOptions::with_threads(threads))
-                .unwrap();
+            let (par, par_stats) = db.run_timed(&q, &ExecOptions::with_threads(threads));
             // Identical rows in identical order: morsel results are
-            // concatenated in morsel order.
-            assert_eq!(par.rows, seq.rows, "threads={threads}");
+            // concatenated in morsel order. Worker blocks merge to the
+            // sequential counts exactly.
+            assert_eq!(par.unwrap().rows, seq.rows, "threads={threads}");
+            assert_eq!(par_stats.counters, seq_stats.counters, "threads={threads}");
         }
     }
 
@@ -1324,10 +1367,9 @@ mod tests {
             ..SelectQuery::star_from("wifi")
         }
         .filter(pred);
-        db.stats().reset();
-        let res = db.run_query(&q).unwrap();
-        assert_eq!(res.len(), 40);
+        let (res, stats) = db.run_timed(&q, &ExecOptions::default());
+        assert_eq!(res.unwrap().len(), 40);
         // The probe union is exact: no per-row predicate re-evaluation.
-        assert_eq!(db.stats().snapshot().predicate_evals, 0);
+        assert_eq!(stats.counters.predicate_evals, 0);
     }
 }

@@ -11,9 +11,9 @@
 use crate::error::{DbError, DbResult};
 use crate::plan::SelectQuery;
 use crate::schema::TableSchema;
-use crate::stats::StatsSink;
+use crate::stats::CounterBlock;
 use crate::table::Row;
-use crate::udf::{UdfContext, UdfRegistry};
+use crate::udf::{Udf, UdfContext, UdfRegistry};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -512,8 +512,9 @@ pub trait QueryRunner {
 /// Evaluation context: statistics, UDFs, subquery runner, and any outer
 /// correlation parameters already in scope.
 pub struct EvalContext<'a> {
-    /// Stats sink charged by predicate evaluations and UDF work.
-    pub stats: &'a StatsSink,
+    /// The executing query's counters, charged by predicate evaluations
+    /// and UDF work.
+    pub stats: &'a CounterBlock,
     /// Registered UDFs.
     pub udfs: &'a UdfRegistry,
     /// Subquery runner (None disables scalar subqueries).
@@ -580,6 +581,9 @@ pub enum BoundExpr {
         name: String,
         /// Bound arguments.
         args: Vec<BoundExpr>,
+        /// The function, once [`BoundExpr::resolve_udfs`] has looked it
+        /// up; unresolved calls look it up by name on every row.
+        resolved: Option<ResolvedUdf>,
     },
     /// Correlated scalar subquery with its captured outer references:
     /// `(param name, outer slot)` pairs collected at bind time.
@@ -590,6 +594,16 @@ pub enum BoundExpr {
         /// Outer columns the subquery needs, as `(param name, outer slot)`.
         outer_refs: Vec<(String, usize)>,
     },
+}
+
+/// A UDF call site resolved by [`BoundExpr::resolve_udfs`].
+#[derive(Clone)]
+pub struct ResolvedUdf(Arc<dyn Udf>);
+
+impl fmt::Debug for ResolvedUdf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ResolvedUdf")
+    }
 }
 
 /// Bind an expression against a layout.
@@ -678,6 +692,7 @@ pub fn bind(
                 .iter()
                 .map(|e| bind(e, layout, outer, params))
                 .collect::<DbResult<_>>()?,
+            resolved: None,
         },
         Expr::ScalarSubquery(q) => {
             // Collect the subquery's correlation needs: columns that do not
@@ -803,13 +818,20 @@ impl BoundExpr {
                 Cow::Owned(Value::Bool(false))
             }
             BoundExpr::Not(e) => Cow::Owned(Value::Bool(!e.eval_bool(row, ctx)?)),
-            BoundExpr::Udf { name, args } => {
+            BoundExpr::Udf {
+                name,
+                args,
+                resolved,
+            } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(a.eval(row, ctx)?);
                 }
                 let udf_ctx = UdfContext { stats: ctx.stats };
-                Cow::Owned(ctx.udfs.invoke(name, &vals, &udf_ctx)?)
+                Cow::Owned(match resolved {
+                    Some(f) => crate::udf::call(f.0.as_ref(), &vals, &udf_ctx)?,
+                    None => ctx.udfs.invoke(name, &vals, &udf_ctx)?,
+                })
             }
             BoundExpr::ScalarSubquery { query, outer_refs } => {
                 let runner = ctx.runner.ok_or_else(|| {
@@ -826,6 +848,53 @@ impl BoundExpr {
                 })
             }
         })
+    }
+
+    /// Resolve every UDF call site against `udfs` once, so evaluation
+    /// skips the per-row registry lookup, and a UDF may specialize to its
+    /// literal arguments (∆ resolves its partition here). Scalar subqueries
+    /// are left alone: they bind their own plans when they run.
+    pub fn resolve_udfs(&mut self, udfs: &UdfRegistry) {
+        match self {
+            BoundExpr::Literal(_)
+            | BoundExpr::Slot(_)
+            | BoundExpr::Param(_)
+            | BoundExpr::ScalarSubquery { .. } => {}
+            BoundExpr::Cmp { lhs, rhs, .. } => {
+                lhs.resolve_udfs(udfs);
+                rhs.resolve_udfs(udfs);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.resolve_udfs(udfs);
+                low.resolve_udfs(udfs);
+                high.resolve_udfs(udfs);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.resolve_udfs(udfs);
+                list.iter_mut().for_each(|e| e.resolve_udfs(udfs));
+            }
+            BoundExpr::IsNull { expr, .. } | BoundExpr::Not(expr) => expr.resolve_udfs(udfs),
+            BoundExpr::And(parts) | BoundExpr::Or(parts) => {
+                parts.iter_mut().for_each(|e| e.resolve_udfs(udfs));
+            }
+            BoundExpr::Udf {
+                name,
+                args,
+                resolved,
+            } => {
+                args.iter_mut().for_each(|e| e.resolve_udfs(udfs));
+                let literals: Vec<Option<&Value>> = args
+                    .iter()
+                    .map(|a| match a {
+                        BoundExpr::Literal(v) => Some(v),
+                        _ => None,
+                    })
+                    .collect();
+                *resolved = udfs.resolve(name, &literals).map(ResolvedUdf);
+            }
+        }
     }
 
     /// Operand as a direct reference when it is a slot or literal — the
@@ -1019,7 +1088,7 @@ mod tests {
     }
 
     fn ctx<'a>(
-        stats: &'a StatsSink,
+        stats: &'a CounterBlock,
         udfs: &'a UdfRegistry,
         params: &'a HashMap<String, Value>,
     ) -> EvalContext<'a> {
@@ -1036,7 +1105,7 @@ mod tests {
         let l = layout();
         let e = Expr::col_eq(ColumnRef::qualified("w", "owner"), Value::Int(7));
         let b = bind(&e, &l, None, &Default::default()).unwrap();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
         let c = ctx(&stats, &udfs, &params);
@@ -1072,7 +1141,7 @@ mod tests {
             Expr::col_eq(ColumnRef::bare("wifi_ap"), Value::Int(9)),
         ]);
         let b = bind(&e, &l, None, &Default::default()).unwrap();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
         let c = ctx(&stats, &udfs, &params);
@@ -1090,7 +1159,7 @@ mod tests {
             Expr::col_eq(ColumnRef::bare("wifi_ap"), Value::Int(9)),
         ]);
         let b = bind(&e, &l, None, &Default::default()).unwrap();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
         let c = ctx(&stats, &udfs, &params);
@@ -1109,7 +1178,7 @@ mod tests {
             negated: false,
         };
         let b = bind(&between, &l, None, &Default::default()).unwrap();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
         let c = ctx(&stats, &udfs, &params);
@@ -1133,7 +1202,7 @@ mod tests {
         let l = layout();
         let e = Expr::col_cmp(ColumnRef::bare("owner"), CmpOp::Ne, Value::Int(5));
         let b = bind(&e, &l, None, &Default::default()).unwrap();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let udfs = UdfRegistry::new();
         let params = HashMap::new();
         let c = ctx(&stats, &udfs, &params);
@@ -1156,7 +1225,7 @@ mod tests {
             args: vec![Expr::Column(ColumnRef::bare("owner"))],
         };
         let b = bind(&e, &l, None, &Default::default()).unwrap();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let params = HashMap::new();
         let c = ctx(&stats, &udfs, &params);
         let row = vec![Value::Int(4), Value::Int(0), Value::Time(0)];

@@ -6,7 +6,7 @@
 //! lists. Each probe charges one index descent; fetching the rows
 //! themselves is charged by [`crate::table::Table::fetch`].
 
-use crate::stats::StatsSink;
+use crate::stats::CounterBlock;
 use crate::table::{Row, RowId};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -95,14 +95,14 @@ impl Index {
     }
 
     /// Point lookup: rows with `col = key`. One probe charged.
-    pub fn lookup(&self, key: &Value, stats: &StatsSink) -> Vec<RowId> {
+    pub fn lookup(&self, key: &Value, stats: &CounterBlock) -> Vec<RowId> {
         stats.index_probes(1);
         self.entries.get(key).cloned().unwrap_or_default()
     }
 
     /// Range scan between two bounds. One probe charged (a single B-tree
     /// descent followed by a leaf walk).
-    pub fn range(&self, low: &RangeBound, high: &RangeBound, stats: &StatsSink) -> Vec<RowId> {
+    pub fn range(&self, low: &RangeBound, high: &RangeBound, stats: &CounterBlock) -> Vec<RowId> {
         stats.index_probes(1);
         // An (Excluded(x), Excluded(x)) std range panics; an empty interval
         // is a legal (if silly) policy predicate, so detect inverted /
@@ -123,7 +123,7 @@ impl Index {
     }
 
     /// IN-list lookup: one probe per list element.
-    pub fn lookup_in(&self, keys: &[Value], stats: &StatsSink) -> Vec<RowId> {
+    pub fn lookup_in(&self, keys: &[Value], stats: &CounterBlock) -> Vec<RowId> {
         stats.index_probes(keys.len() as u64);
         let mut out: Vec<RowId> = keys
             .iter()
@@ -173,7 +173,7 @@ mod tests {
         for i in 0..100i64 {
             t.insert(vec![Value::Int(i), Value::Int(i % 10)]);
         }
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let idx = Index::build("idx_owner", 1, "owner", t.scan(&stats));
         (t, idx)
     }
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn point_lookup_finds_all_matches() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let hits = idx.lookup(&Value::Int(3), &stats);
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|&id| id % 10 == 3));
@@ -191,14 +191,14 @@ mod tests {
     #[test]
     fn missing_key_is_empty() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         assert!(idx.lookup(&Value::Int(42), &stats).is_empty());
     }
 
     #[test]
     fn range_scan_inclusive_exclusive() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let hits = idx.range(
             &RangeBound::Inclusive(Value::Int(2)),
             &RangeBound::Exclusive(Value::Int(4)),
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn empty_and_inverted_ranges() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         assert!(idx
             .range(
                 &RangeBound::Exclusive(Value::Int(5)),
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn in_list_dedups_and_counts_probes() {
         let (_, idx) = indexed_table();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let hits = idx.lookup_in(&[Value::Int(1), Value::Int(1), Value::Int(2)], &stats);
         assert_eq!(hits.len(), 20);
         assert_eq!(stats.snapshot().index_probes, 3);
@@ -255,7 +255,7 @@ mod tests {
         let (mut t, mut idx) = indexed_table();
         let id = t.insert(vec![Value::Int(100), Value::Int(55)]);
         idx.insert(id, t.row(id));
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         assert_eq!(idx.lookup(&Value::Int(55), &stats), vec![id]);
         assert_eq!(idx.len(), 101);
     }

@@ -45,7 +45,7 @@ pub use index::RangeBound;
 pub use plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableRef, TableSource, WithClause};
 pub use planner::{AccessPlan, DbProfile, ScanOptions, MORSEL_ROWS, PARALLEL_MIN_ROWS};
 pub use schema::{Column, TableSchema};
-pub use stats::{CostWeights, Counters, ExecStats, StatsSink};
+pub use stats::{CostWeights, CounterBlock, Counters, ExecStats};
 pub use table::{Row, RowId};
 pub use udf::{Udf, UdfContext, UdfRegistry};
 pub use value::{DataType, Value};

@@ -17,7 +17,7 @@ use crate::expr::{CmpOp, ColumnRef, Expr};
 use crate::index::RangeBound;
 use crate::plan::IndexHint;
 use crate::schema::TableSchema;
-use crate::stats::StatsSink;
+use crate::stats::CounterBlock;
 use crate::table::RowId;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -159,7 +159,7 @@ impl IndexProbe {
     }
 
     /// Run the probe, returning matching row ids.
-    pub fn run(&self, entry: &TableEntry, stats: &StatsSink) -> Vec<RowId> {
+    pub fn run(&self, entry: &TableEntry, stats: &CounterBlock) -> Vec<RowId> {
         let idx = match entry.index_on(self.column()) {
             Some(i) => i,
             None => return Vec::new(),

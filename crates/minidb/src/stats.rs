@@ -9,10 +9,13 @@
 //! invocation bumps the counters below. Benchmarks report both clocks; the
 //! shape comparisons in EXPERIMENTS.md use the simulated clock where
 //! determinism matters and wall time elsewhere.
+//!
+//! Counters are per query: every execution records into a
+//! [`CounterBlock`] of its own and [`crate::Database::run_timed`] returns
+//! exactly that query's counts, however many queries run concurrently.
+//! Nothing is aggregated across queries.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::cell::Cell;
 
 /// Cost-unit weights for the simulated clock. One unit ~ one in-memory
 /// predicate evaluation. Defaults follow the calibration in
@@ -98,113 +101,118 @@ impl Counters {
     }
 }
 
-/// The lock-free counter block behind a [`StatsSink`]. Plain relaxed
-/// atomics: operators on concurrent executor threads record into the same
-/// sink without serializing on a mutex (the sink sits on the query hot
-/// path — under the concurrent `SieveService` every parallel query bumps
-/// these counters).
-#[derive(Default)]
-struct AtomicCounters {
-    seq_pages_read: AtomicU64,
-    rand_pages_read: AtomicU64,
-    tuples_read: AtomicU64,
-    predicate_evals: AtomicU64,
-    policy_evals: AtomicU64,
-    udf_invocations: AtomicU64,
-    index_probes: AtomicU64,
-    tuples_output: AtomicU64,
+/// One query's event counters, owned by the executor that runs it.
+///
+/// Plain [`Cell`]s: a block is `!Sync`, so it is never shared between
+/// threads and recording an event is an ordinary add on a cache line only
+/// this query touches — no atomic read-modify-write on the per-row path.
+/// Nested subqueries and UDF calls borrow their query's block; each
+/// morsel-parallel scan worker records into a block of its own, which the
+/// executor [`CounterBlock::add`]s back once after the join.
+#[derive(Debug, Default)]
+pub struct CounterBlock {
+    seq_pages_read: Cell<u64>,
+    rand_pages_read: Cell<u64>,
+    tuples_read: Cell<u64>,
+    predicate_evals: Cell<u64>,
+    policy_evals: Cell<u64>,
+    udf_invocations: Cell<u64>,
+    index_probes: Cell<u64>,
+    tuples_output: Cell<u64>,
 }
 
-/// A shareable statistics sink. Cloning shares the underlying counters, so
-/// every operator in a plan (and every UDF it invokes) can record into the
-/// same sink cheaply. Counters are relaxed atomics: recording from many
-/// threads never blocks; a [`StatsSink::snapshot`] taken while queries are
-/// in flight sees each counter at some recent value (per-query attribution
-/// under concurrency is the caller's concern — time a dedicated sink, or
-/// quiesce first).
-#[derive(Clone, Default)]
-pub struct StatsSink {
-    inner: Arc<AtomicCounters>,
+#[inline]
+fn bump(c: &Cell<u64>, n: u64) {
+    c.set(c.get() + n);
 }
 
-impl StatsSink {
-    /// Fresh sink with zeroed counters.
+impl CounterBlock {
+    /// Fresh block with zeroed counters.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Record `n` sequentially-read pages.
+    #[inline]
     pub fn seq_pages(&self, n: u64) {
-        self.inner.seq_pages_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.seq_pages_read, n);
     }
 
     /// Record `n` randomly-read pages.
+    #[inline]
     pub fn rand_pages(&self, n: u64) {
-        self.inner.rand_pages_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.rand_pages_read, n);
     }
 
     /// Record `n` tuples materialized.
+    #[inline]
     pub fn tuples(&self, n: u64) {
-        self.inner.tuples_read.fetch_add(n, Ordering::Relaxed);
+        bump(&self.tuples_read, n);
     }
 
     /// Record `n` predicate evaluations.
+    #[inline]
     pub fn predicates(&self, n: u64) {
-        self.inner.predicate_evals.fetch_add(n, Ordering::Relaxed);
+        bump(&self.predicate_evals, n);
     }
 
     /// Record `n` policy evaluations.
+    #[inline]
     pub fn policies(&self, n: u64) {
-        self.inner.policy_evals.fetch_add(n, Ordering::Relaxed);
+        bump(&self.policy_evals, n);
     }
 
     /// Record one UDF invocation.
+    #[inline]
     pub fn udf_invocation(&self) {
-        self.inner.udf_invocations.fetch_add(1, Ordering::Relaxed);
+        bump(&self.udf_invocations, 1);
     }
 
     /// Record `n` index probes.
+    #[inline]
     pub fn index_probes(&self, n: u64) {
-        self.inner.index_probes.fetch_add(n, Ordering::Relaxed);
+        bump(&self.index_probes, n);
     }
 
     /// Record `n` output tuples.
+    #[inline]
     pub fn outputs(&self, n: u64) {
-        self.inner.tuples_output.fetch_add(n, Ordering::Relaxed);
+        bump(&self.tuples_output, n);
     }
 
-    /// Snapshot the counters.
+    /// Add another block's counts (a parallel worker's, after its join).
+    pub fn add(&self, other: &Counters) {
+        let mut c = self.snapshot();
+        c.merge(other);
+        self.seq_pages_read.set(c.seq_pages_read);
+        self.rand_pages_read.set(c.rand_pages_read);
+        self.tuples_read.set(c.tuples_read);
+        self.predicate_evals.set(c.predicate_evals);
+        self.policy_evals.set(c.policy_evals);
+        self.udf_invocations.set(c.udf_invocations);
+        self.index_probes.set(c.index_probes);
+        self.tuples_output.set(c.tuples_output);
+    }
+
+    /// The counts recorded so far.
     pub fn snapshot(&self) -> Counters {
-        let c = &*self.inner;
         Counters {
-            seq_pages_read: c.seq_pages_read.load(Ordering::Relaxed),
-            rand_pages_read: c.rand_pages_read.load(Ordering::Relaxed),
-            tuples_read: c.tuples_read.load(Ordering::Relaxed),
-            predicate_evals: c.predicate_evals.load(Ordering::Relaxed),
-            policy_evals: c.policy_evals.load(Ordering::Relaxed),
-            udf_invocations: c.udf_invocations.load(Ordering::Relaxed),
-            index_probes: c.index_probes.load(Ordering::Relaxed),
-            tuples_output: c.tuples_output.load(Ordering::Relaxed),
+            seq_pages_read: self.seq_pages_read.get(),
+            rand_pages_read: self.rand_pages_read.get(),
+            tuples_read: self.tuples_read.get(),
+            predicate_evals: self.predicate_evals.get(),
+            policy_evals: self.policy_evals.get(),
+            udf_invocations: self.udf_invocations.get(),
+            index_probes: self.index_probes.get(),
+            tuples_output: self.tuples_output.get(),
         }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        let c = &*self.inner;
-        c.seq_pages_read.store(0, Ordering::Relaxed);
-        c.rand_pages_read.store(0, Ordering::Relaxed);
-        c.tuples_read.store(0, Ordering::Relaxed);
-        c.predicate_evals.store(0, Ordering::Relaxed);
-        c.policy_evals.store(0, Ordering::Relaxed);
-        c.udf_invocations.store(0, Ordering::Relaxed);
-        c.index_probes.store(0, Ordering::Relaxed);
-        c.tuples_output.store(0, Ordering::Relaxed);
     }
 }
 
 /// The result of timing one query execution: wall time plus the simulated
-/// clock derived from the counters.
-#[derive(Debug, Clone)]
+/// clock derived from that query's own counters. The default is the
+/// zero-cost record of an execution that never reached the engine.
+#[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Event counters for the execution.
     pub counters: Counters,
@@ -221,35 +229,18 @@ impl ExecStats {
     }
 }
 
-/// Helper to time a closure and combine with a sink snapshot.
-pub fn timed<R>(sink: &StatsSink, weights: &CostWeights, f: impl FnOnce() -> R) -> (R, ExecStats) {
-    sink.reset();
-    let start = Instant::now();
-    let out = f();
-    let wall = start.elapsed();
-    let counters = sink.snapshot();
-    (
-        out,
-        ExecStats {
-            counters,
-            wall,
-            simulated_cost: counters.simulated_cost(weights),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate_and_merge() {
-        let sink = StatsSink::new();
-        sink.seq_pages(3);
-        sink.tuples(10);
-        sink.predicates(20);
-        sink.udf_invocation();
-        let snap = sink.snapshot();
+        let block = CounterBlock::new();
+        block.seq_pages(3);
+        block.tuples(10);
+        block.predicates(20);
+        block.udf_invocation();
+        let snap = block.snapshot();
         assert_eq!(snap.seq_pages_read, 3);
         assert_eq!(snap.tuples_read, 10);
         assert_eq!(snap.predicate_evals, 20);
@@ -276,25 +267,17 @@ mod tests {
     }
 
     #[test]
-    fn timed_resets_and_snapshots() {
-        let sink = StatsSink::new();
-        sink.tuples(999); // stale counts must not leak into the timing
-        let w = CostWeights::default();
-        let (out, stats) = timed(&sink, &w, || {
-            sink.tuples(7);
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(stats.counters.tuples_read, 7);
-        assert!(stats.wall_ms() >= 0.0);
-    }
-
-    #[test]
-    fn shared_sink_across_clones() {
-        let a = StatsSink::new();
-        let b = a.clone();
-        a.index_probes(4);
-        b.index_probes(1);
-        assert_eq!(a.snapshot().index_probes, 5);
+    fn add_folds_a_worker_block_in() {
+        let query = CounterBlock::new();
+        query.index_probes(4);
+        query.tuples(2);
+        let worker = CounterBlock::new();
+        worker.index_probes(1);
+        worker.predicates(9);
+        query.add(&worker.snapshot());
+        let c = query.snapshot();
+        assert_eq!(c.index_probes, 5);
+        assert_eq!(c.tuples_read, 2);
+        assert_eq!(c.predicate_evals, 9);
     }
 }

@@ -9,7 +9,7 @@
 //! scan is expected to be more costly than the sequential access").
 
 use crate::schema::TableSchema;
-use crate::stats::StatsSink;
+use crate::stats::CounterBlock;
 use crate::value::Value;
 
 /// Number of rows per simulated page. A WiFi-connectivity row is ~40 bytes
@@ -99,7 +99,7 @@ impl Table {
 
     /// Sequential scan: charges every page once (sequential) plus one tuple
     /// read per row, then yields all rows.
-    pub fn scan<'a>(&'a self, stats: &StatsSink) -> impl Iterator<Item = (RowId, &'a Row)> + 'a {
+    pub fn scan<'a>(&'a self, stats: &CounterBlock) -> impl Iterator<Item = (RowId, &'a Row)> + 'a {
         stats.seq_pages(self.page_count());
         stats.tuples(self.rows.len() as u64);
         self.rows
@@ -115,7 +115,7 @@ impl Table {
     pub fn fetch<'a>(
         &'a self,
         row_ids: &[RowId],
-        stats: &StatsSink,
+        stats: &CounterBlock,
     ) -> Vec<(RowId, &'a Row)> {
         let mut pages: Vec<u64> = row_ids.iter().map(|&r| Self::page_of(r)).collect();
         pages.sort_unstable();
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn scan_charges_sequential_pages() {
         let t = table_with_rows(ROWS_PER_PAGE * 3 + 10);
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let n = t.scan(&stats).count();
         assert_eq!(n, ROWS_PER_PAGE * 3 + 10);
         let c = stats.snapshot();
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn fetch_charges_distinct_pages_only() {
         let t = table_with_rows(ROWS_PER_PAGE * 4);
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         // Three rows on page 0, one on page 2: two distinct pages.
         let ids = vec![0, 1, 2, (ROWS_PER_PAGE * 2) as RowId];
         let rows = t.fetch(&ids, &stats);
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn fetch_preserves_requested_order() {
         let t = table_with_rows(10);
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let rows = t.fetch(&[5, 2, 7], &stats);
         let ids: Vec<RowId> = rows.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![5, 2, 7]);

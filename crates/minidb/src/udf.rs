@@ -4,25 +4,40 @@
 //! the engine, exactly as the paper layers it on MySQL/PostgreSQL. The
 //! registry charges the fixed invocation overhead (`UDF_inv`) on every call;
 //! whatever work the UDF body does (policy fetches, per-policy evaluation —
-//! the paper's `UDF_exec`) is charged by the body itself through the stats
-//! sink it receives.
+//! the paper's `UDF_exec`) is charged by the body itself to the calling
+//! query's counter block.
 
 use crate::error::{DbError, DbResult};
-use crate::stats::StatsSink;
+use crate::stats::CounterBlock;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Context handed to a UDF invocation.
 pub struct UdfContext<'a> {
-    /// Stats sink for the executing query; UDF bodies charge their work here.
-    pub stats: &'a StatsSink,
+    /// The executing query's counters; UDF bodies charge their work here.
+    pub stats: &'a CounterBlock,
 }
 
 /// A user-defined scalar function.
 pub trait Udf: Send + Sync {
     /// Invoke the function on already-evaluated arguments.
     fn invoke(&self, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value>;
+
+    /// This function specialized to one call site, given the arguments
+    /// that are literals there (`None` for the others). The executor asks
+    /// once per execution and calls the result for every row, so a UDF
+    /// can do its per-call-site lookups once instead of per row. `None`,
+    /// the default, keeps the function as registered.
+    fn specialize(&self, _literals: &[Option<&Value>]) -> Option<Arc<dyn Udf>> {
+        None
+    }
+}
+
+/// Call `f`, charging the invocation overhead to the calling query.
+pub fn call(f: &dyn Udf, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
+    ctx.stats.udf_invocation();
+    f.invoke(args, ctx)
 }
 
 /// Blanket impl so closures register directly.
@@ -65,11 +80,22 @@ impl UdfRegistry {
         self.funcs.contains_key(&name.to_ascii_lowercase())
     }
 
+    /// Resolve one call site: the registered function, specialized to the
+    /// site's literal arguments where it supports that
+    /// ([`Udf::specialize`]). `None` for an unknown name, whose calls then
+    /// fail when evaluated.
+    pub fn resolve(&self, name: &str, literals: &[Option<&Value>]) -> Option<Arc<dyn Udf>> {
+        let f = self.get(name).ok()?;
+        Some(f.specialize(literals).unwrap_or(f))
+    }
+
     /// Invoke by name, charging the invocation overhead.
     pub fn invoke(&self, name: &str, args: &[Value], ctx: &UdfContext<'_>) -> DbResult<Value> {
-        let f = self.get(name)?;
-        ctx.stats.udf_invocation();
-        f.invoke(args, ctx)
+        let f = self
+            .funcs
+            .get(&name.to_ascii_lowercase())
+            .ok_or_else(|| DbError::UnknownUdf(name.to_string()))?;
+        call(f.as_ref(), args, ctx)
     }
 }
 
@@ -97,7 +123,7 @@ mod tests {
                 Ok(Value::Int(n * 2))
             }),
         );
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let ctx = UdfContext { stats: &stats };
         let out = reg.invoke("DOUBLE_IT", &[Value::Int(21)], &ctx).unwrap();
         assert_eq!(out, Value::Int(42));
@@ -107,7 +133,7 @@ mod tests {
     #[test]
     fn unknown_udf_errors() {
         let reg = UdfRegistry::new();
-        let stats = StatsSink::new();
+        let stats = CounterBlock::new();
         let ctx = UdfContext { stats: &stats };
         assert_eq!(
             reg.invoke("nope", &[], &ctx),
