@@ -7,9 +7,9 @@ use minidb::{Database, DbProfile, SelectQuery, TableSchema};
 use sieve_core::middleware::Enforcement;
 use sieve_core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
 use sieve_core::rewrite::DeltaMode;
-use sieve_core::{Sieve, SieveOptions};
+use sieve_core::{SieveOptions, SieveService};
 
-fn sieve_with(n_policies: usize, mode: DeltaMode) -> Sieve {
+fn sieve_with(n_policies: usize, mode: DeltaMode) -> SieveService {
     let mut db = Database::new(DbProfile::MySqlLike);
     db.create_table(TableSchema::of(
         "wifi_dataset",
@@ -37,8 +37,8 @@ fn sieve_with(n_policies: usize, mode: DeltaMode) -> Sieve {
         db.create_index("wifi_dataset", col).unwrap();
     }
     db.analyze("wifi_dataset").unwrap();
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
-    sieve.options_mut().rewrite.delta_mode = mode;
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    sieve.with_options_mut(|o| o.rewrite.delta_mode = mode);
     for i in 0..n_policies {
         let start = ((i % 12) as u32) * 2 * 3600;
         sieve
@@ -69,7 +69,7 @@ fn bench_inline_vs_delta(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy_eval");
     for &n in &[40usize, 120, 240] {
         for (label, mode) in [("inline", DeltaMode::Never), ("delta", DeltaMode::Always)] {
-            let mut sieve = sieve_with(n, mode);
+            let sieve = sieve_with(n, mode);
             // Warm the guard cache so only execution is measured.
             let _ = sieve.run_timed(Enforcement::Sieve, &query, &qm);
             group.bench_with_input(BenchmarkId::new(label, n), &(), |b, _| {

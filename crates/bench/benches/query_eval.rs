@@ -17,7 +17,7 @@ fn bench_query_eval(c: &mut Criterion) {
         days: 60,
         timeout: Duration::from_secs(20),
     };
-    let mut campus = build_campus(DbProfile::MySqlLike, &env);
+    let campus = build_campus(DbProfile::MySqlLike, &env);
     let querier = pick_queriers(&campus, UserProfile::Faculty, "Analytics", 1)[0];
     let qm = QueryMetadata::new(querier, "Analytics");
 

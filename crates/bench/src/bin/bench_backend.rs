@@ -21,7 +21,7 @@ use sieve_bench::harness::{
 };
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
-use sieve_core::{Sieve, SieveOptions, SqlBackend, WireSqlBackend};
+use sieve_core::{SieveOptions, SieveService, SqlBackend, WireSqlBackend};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -66,7 +66,7 @@ const PREPARED_OVERHEAD_GATE_FLOOR_MS: f64 = 0.01;
 /// Warm measurements for one backend: (warm prepare ms, warm exec ms,
 /// result rows).
 fn measure<B: SqlBackend>(
-    sieve: &mut Sieve<B>,
+    sieve: &SieveService<B>,
     q: &SelectQuery,
     qm: &QueryMetadata,
     reps: usize,
@@ -126,32 +126,33 @@ fn main() {
     let options = SieveOptions::default();
 
     // ---- In-process baseline.
-    let mut minidb_sieve =
-        Sieve::with_backend(base_db.clone(), options.clone()).expect("minidb backend init");
-    *minidb_sieve.groups_mut() = campus.dataset.groups.clone();
+    let minidb_sieve =
+        SieveService::with_backend(base_db.clone(), options.clone()).expect("minidb backend init");
+    minidb_sieve.with_groups_mut(|g| *g = campus.dataset.groups.clone());
     minidb_sieve
         .add_policies(campus.policies.iter().cloned())
         .expect("policies");
-    let (mini_prep, mini_exec, mini_rows) =
-        measure(&mut minidb_sieve, &q, &qm, cfg.warm_reps);
+    let (mini_prep, mini_exec, mini_rows) = measure(&minidb_sieve, &q, &qm, cfg.warm_reps);
     // In-process `Prepared` handle: the pinned-plan execute both backends'
     // prepared paths are compared against (no rewrite in the loop on
     // either side). Timed interleaved with the wire prepared loop.
-    let mini_service = minidb_sieve.service().clone();
-    let mini_prepared = mini_service
+    let mini_prepared = minidb_sieve
         .session(qm.clone())
         .prepare(q.clone())
         .expect("minidb prepare");
     mini_prepared.execute().expect("prepared warm-up");
 
     // ---- Wire-SQL backend over the same data.
-    let mut wire_sieve = Sieve::with_backend(WireSqlBackend::new(base_db.clone()), options.clone())
-        .expect("wire backend init");
-    *wire_sieve.groups_mut() = campus.dataset.groups.clone();
+    let wire_sieve = SieveService::with_backend(
+        WireSqlBackend::new(base_db.clone()),
+        options.clone(),
+    )
+    .expect("wire backend init");
+    wire_sieve.with_groups_mut(|g| *g = campus.dataset.groups.clone());
     wire_sieve
         .add_policies(campus.policies.iter().cloned())
         .expect("policies");
-    let (wire_prep, wire_exec, wire_rows) = measure(&mut wire_sieve, &q, &qm, cfg.warm_reps);
+    let (wire_prep, wire_exec, wire_rows) = measure(&wire_sieve, &q, &qm, cfg.warm_reps);
     assert_eq!(
         mini_rows, wire_rows,
         "backends must return identical result sets"
@@ -183,10 +184,9 @@ fn main() {
     // parameters. Four session handles model a small connection pool
     // preparing the same statement — the template intern cache parses
     // the shared text once.
-    let service = wire_sieve.service().clone();
     let handles: Vec<_> = (0..4)
         .map(|_| {
-            service
+            wire_sieve
                 .session(qm.clone())
                 .prepare(q.clone())
                 .expect("wire prepare")

@@ -31,7 +31,7 @@ use sieve_bench::harness::{
 use sieve_bench::table::{mean, render};
 use sieve_core::policy::QueryMetadata;
 use sieve_core::{
-    Fault, FaultConfig, FaultInjectingBackend, Sieve, SieveOptions, SieveService, SqlBackend,
+    Fault, FaultConfig, FaultInjectingBackend, SieveOptions, SieveService, SqlBackend,
     WireSqlBackend,
 };
 use std::fmt::Write as _;
@@ -78,12 +78,13 @@ const WARM_FAULT_OVERHEAD_GATE_FLOOR_MS: f64 = 0.01;
 
 /// Stand up a service over `backend` with the campus policy corpus.
 fn service_over<B: SqlBackend>(backend: B, campus: &Campus) -> SieveService<B> {
-    let mut sieve = Sieve::with_backend(backend, SieveOptions::default()).expect("backend init");
-    *sieve.groups_mut() = campus.dataset.groups.clone();
-    sieve
+    let service =
+        SieveService::with_backend(backend, SieveOptions::default()).expect("backend init");
+    service.with_groups_mut(|g| *g = campus.dataset.groups.clone());
+    service
         .add_policies(campus.policies.iter().cloned())
         .expect("policies");
-    sieve.into_service()
+    service
 }
 
 struct DropNumbers {

@@ -72,7 +72,7 @@ fn main() {
         cfg.env.scale, cfg.env.days, cfg.quick
     );
 
-    let mut campus = build_campus(minidb::DbProfile::MySqlLike, &cfg.env);
+    let campus = build_campus(minidb::DbProfile::MySqlLike, &cfg.env);
 
     // Queriers with the largest relevant policy sets: the paper's heavy
     // case, and the one where generation dominates cold latency.

@@ -5,10 +5,10 @@
 //! distinct queriers hit the same protected relation concurrently with
 //! cold guard caches. Two schedules prepare the identical request batch:
 //!
-//! 1. **Sequential** — `Sieve::rewrite` per request; every querier pays
-//!    its own policy-store scan and candidate generation.
-//! 2. **Batched** — `Sieve::prepare_batch` runs the shared phase (store
-//!    scan, candidate generation, histogram estimates) once per
+//! 1. **Sequential** — `SieveService::rewrite` per request; every
+//!    querier pays its own policy-store scan and candidate generation.
+//! 2. **Batched** — `SieveService::prepare_batch` runs the shared phase
+//!    (store scan, candidate generation, histogram estimates) once per
 //!    `(purpose, relation)` group, then per-request `rewrite` hits the
 //!    warm cache and pays only fragment compilation + assembly.
 //!
@@ -58,7 +58,7 @@ fn main() {
         cfg.env.scale, cfg.env.days, cfg.quick
     );
 
-    let mut campus = build_campus(minidb::DbProfile::MySqlLike, &cfg.env);
+    let campus = build_campus(minidb::DbProfile::MySqlLike, &cfg.env);
     let requests = multi_querier_traffic(
         &campus.dataset,
         &TrafficConfig {

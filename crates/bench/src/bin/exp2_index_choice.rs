@@ -15,7 +15,7 @@ use sieve_bench::table::{mean, ms, render};
 use sieve_core::cost::AccessStrategy;
 use sieve_core::middleware::Enforcement;
 use sieve_core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve_core::{Sieve, SieveOptions};
+use sieve_core::{SieveOptions, SieveService};
 use std::fmt::Write as _;
 
 fn build_db(rows: i64) -> Database {
@@ -113,7 +113,7 @@ fn main() {
         for (_, owners, aps) in guard_classes {
             let run = |strategy: Option<AccessStrategy>| -> (Option<f64>, AccessStrategy) {
                 let db = build_db(rows);
-                let mut sieve = Sieve::new(
+                let sieve = SieveService::new(
                     db,
                     SieveOptions {
                         timeout: Some(env.timeout),
@@ -121,7 +121,7 @@ fn main() {
                     },
                 )
                 .unwrap();
-                sieve.options_mut().rewrite.forced_strategy = strategy;
+                sieve.with_options_mut(|o| o.rewrite.forced_strategy = strategy);
                 sieve
                     .add_policies(policies_for(owners, aps))
                     .unwrap();
@@ -129,7 +129,7 @@ fn main() {
                     .rewrite(&query, &qm)
                     .map(|r| r.relations[0].strategy)
                     .unwrap_or(AccessStrategy::LinearScan);
-                let t = time_enforcement(&mut sieve, Enforcement::Sieve, &query, &qm, 2);
+                let t = time_enforcement(&sieve, Enforcement::Sieve, &query, &qm, 2);
                 (t.sim_kcost, picked)
             };
             let (iq, _) = run(Some(AccessStrategy::IndexQuery));

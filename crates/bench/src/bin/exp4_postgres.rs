@@ -32,7 +32,7 @@ use sieve_core::baselines::Baseline;
 use sieve_core::filter::relevant_policies;
 use sieve_core::middleware::Enforcement;
 use sieve_core::policy::{Policy, QueryMetadata};
-use sieve_core::{Sieve, SieveOptions, SqlBackend, WireSqlBackend};
+use sieve_core::{SieveOptions, SieveService, SqlBackend, WireSqlBackend};
 use sieve_workload::WIFI_TABLE;
 use std::fmt::Write as _;
 
@@ -45,7 +45,7 @@ fn run_subset_on<B: SqlBackend>(
     qm: &QueryMetadata,
     env: &EnvConfig,
 ) -> Option<f64> {
-    let mut sieve = Sieve::with_backend(
+    let sieve = SieveService::with_backend(
         backend,
         SieveOptions {
             timeout: Some(env.timeout),
@@ -53,10 +53,10 @@ fn run_subset_on<B: SqlBackend>(
         },
     )
     .ok()?;
-    *sieve.groups_mut() = groups.clone();
+    sieve.with_groups_mut(|g| *g = groups.clone());
     sieve.add_policies(policies.iter().cloned()).ok()?;
     let q = SelectQuery::star_from(WIFI_TABLE);
-    let t = time_enforcement(&mut sieve, enforcement, &q, qm, 2);
+    let t = time_enforcement(&sieve, enforcement, &q, qm, 2);
     t.sim_kcost
 }
 

@@ -20,7 +20,7 @@ use sieve_core::baselines::Baseline;
 use sieve_core::filter::relevant_policies;
 use sieve_core::middleware::Enforcement;
 use sieve_core::policy::{Policy, QueryMetadata};
-use sieve_core::{Sieve, SieveOptions};
+use sieve_core::{SieveOptions, SieveService};
 use sieve_workload::mall::{generate as generate_mall, MallConfig, MallDataset};
 use sieve_workload::MALL_TABLE;
 use std::fmt::Write as _;
@@ -118,7 +118,7 @@ fn main() {
                 (Enforcement::Baseline(Baseline::P), &mut base_cost),
                 (Enforcement::Sieve, &mut sieve_cost),
             ] {
-                let mut sieve = Sieve::new(
+                let sieve = SieveService::new(
                     db.clone(),
                     SieveOptions {
                         timeout: Some(env.timeout),
@@ -126,9 +126,9 @@ fn main() {
                     },
                 )
                 .unwrap();
-                *sieve.groups_mut() = ds.groups.clone();
+                sieve.with_groups_mut(|g| *g = ds.groups.clone());
                 sieve.add_policies(subset.iter().cloned()).unwrap();
-                let t = time_enforcement(&mut sieve, enforcement, &query, &qm, 2);
+                let t = time_enforcement(&sieve, enforcement, &query, &qm, 2);
                 if let Some(v) = t.sim_kcost {
                     sink.push(v);
                 }

@@ -75,10 +75,12 @@ fn main() {
 
     let mut rows_out = Vec::new();
     for v in &variants {
-        let mut campus = build_campus(DbProfile::MySqlLike, &env);
-        campus.sieve.options_mut().selection = v.selection;
-        campus.sieve.options_mut().rewrite.delta_mode = v.delta;
-        campus.sieve.options_mut().rewrite.no_predicate_pushdown = v.no_push;
+        let campus = build_campus(DbProfile::MySqlLike, &env);
+        campus.sieve.with_options_mut(|o| {
+            o.selection = v.selection;
+            o.rewrite.delta_mode = v.delta;
+            o.rewrite.no_predicate_pushdown = v.no_push;
+        });
         let queriers = pick_queriers(&campus, UserProfile::Faculty, "Analytics", 2);
         let mut row = vec![v.name.to_string()];
         for (class, sel) in &cells {
@@ -86,7 +88,7 @@ fn main() {
             for &querier in &queriers {
                 let qm = QueryMetadata::new(querier, "Analytics");
                 let q = generate_query(&campus.dataset, *class, *sel, 5 + querier as u64);
-                let t = time_enforcement(&mut campus.sieve, Enforcement::Sieve, &q, &qm, 2);
+                let t = time_enforcement(&campus.sieve, Enforcement::Sieve, &q, &qm, 2);
                 if let Some(s) = t.sim_kcost {
                     vals.push(s);
                 }

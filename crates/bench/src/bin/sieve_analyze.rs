@@ -29,7 +29,7 @@ use sieve_bench::harness::{build_campus, emit, queriers_with_policies, write_jso
 use sieve_core::analyze::{self, AnalysisReport, CheckRecord, Finding, FindingKind, Verdict};
 use sieve_core::filter::relevant_policies;
 use sieve_core::policy::{Policy, PolicyId, QueryMetadata};
-use sieve_core::{Sieve, SieveOptions};
+use sieve_core::{SieveOptions, SieveService};
 use sieve_workload::mall::{generate as generate_mall, MallConfig, MallDataset};
 use sieve_workload::policy_gen::PURPOSES;
 use sieve_workload::{MALL_TABLE, WIFI_TABLE};
@@ -66,7 +66,7 @@ impl Config {
 /// Verify one enforcement point and fold the outcome into the report.
 fn check_point(
     report: &mut AnalysisReport,
-    sieve: &mut Sieve,
+    sieve: &SieveService,
     all_policies: &[Policy],
     by_id: &HashMap<PolicyId, &Policy>,
     relation: &str,
@@ -128,7 +128,7 @@ fn check_point(
 
 /// Audit the TIPPERS campus scenario.
 fn audit_tippers(cfg: &Config) -> AnalysisReport {
-    let mut campus = build_campus(DbProfile::MySqlLike, &cfg.env);
+    let campus = build_campus(DbProfile::MySqlLike, &cfg.env);
     let policies = campus.policies.clone();
     let refs: Vec<&Policy> = policies.iter().collect();
     let by_id: HashMap<PolicyId, &Policy> = policies.iter().map(|p| (p.id, p)).collect();
@@ -144,7 +144,7 @@ fn audit_tippers(cfg: &Config) -> AnalysisReport {
             let qm = QueryMetadata::new(querier, purpose);
             check_point(
                 &mut report,
-                &mut campus.sieve,
+                &campus.sieve,
                 &policies,
                 &by_id,
                 WIFI_TABLE,
@@ -169,7 +169,7 @@ fn audit_mall(cfg: &Config) -> AnalysisReport {
         },
     )
     .expect("mall generation");
-    let mut sieve = Sieve::new(
+    let sieve = SieveService::new(
         db,
         SieveOptions {
             timeout: Some(cfg.env.timeout),
@@ -177,7 +177,7 @@ fn audit_mall(cfg: &Config) -> AnalysisReport {
         },
     )
     .expect("sieve init");
-    *sieve.groups_mut() = ds.groups.clone();
+    sieve.with_groups_mut(|g| *g = ds.groups.clone());
     sieve
         .add_policies(ds.policies.iter().cloned())
         .expect("register policies");
@@ -204,7 +204,7 @@ fn audit_mall(cfg: &Config) -> AnalysisReport {
         eligible.sort_unstable();
         for querier in eligible.into_iter().take(cfg.max_queriers) {
             let qm = QueryMetadata::new(querier, purpose);
-            check_point(&mut report, &mut sieve, &policies, &by_id, MALL_TABLE, &qm);
+            check_point(&mut report, &sieve, &policies, &by_id, MALL_TABLE, &qm);
         }
     }
     report.sort();

@@ -23,8 +23,8 @@
 //! Two backends ship:
 //!
 //! * [`Database`] itself — the in-process engine, executing query ASTs
-//!   directly; the hermetic default ([`crate::Sieve`]'s and
-//!   [`crate::SieveService`]'s default type parameter).
+//!   directly; the hermetic default ([`crate::SieveService`]'s default
+//!   type parameter).
 //! * [`WireSqlBackend`] — accepts only SQL **text**: every query is
 //!   rendered with [`minidb::sql::render_query`], crosses a simulated
 //!   wire, and is re-parsed before execution. This exercises exactly the
@@ -170,8 +170,8 @@ pub struct PreparedStatement {
     pub params: Vec<Value>,
 }
 
-/// The execution engine behind the middleware, as seen by [`crate::Sieve`]
-/// and the concurrent [`crate::service::SieveService`].
+/// The execution engine behind the middleware, as seen by
+/// [`crate::service::SieveService`].
 ///
 /// Object-safe: the middleware holds a concrete `B: SqlBackend`, but the
 /// rewriting/costing free functions take `&dyn SqlBackend` so they need
@@ -383,16 +383,16 @@ pub type DynBackend = Box<dyn SqlBackend>;
 #[allow(clippy::disallowed_macros)]
 pub fn for_each_backend<F>(db: &Database, options: &crate::SieveOptions, mut f: F)
 where
-    F: FnMut(&'static str, crate::middleware::Sieve<DynBackend>),
+    F: FnMut(&'static str, &crate::SieveService<DynBackend>),
 {
     let backends: [(&'static str, DynBackend); 2] = [
         ("minidb", Box::new(db.clone())),
         ("wire-sql", Box::new(WireSqlBackend::new(db.clone()))),
     ];
     for (name, backend) in backends {
-        let sieve = crate::middleware::Sieve::with_backend(backend, options.clone())
+        let sieve = crate::SieveService::with_backend(backend, options.clone())
             .unwrap_or_else(|e| panic!("backend {name} failed to initialize: {e}"));
-        f(name, sieve);
+        f(name, &sieve);
     }
 }
 

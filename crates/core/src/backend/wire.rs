@@ -94,7 +94,8 @@ impl WireSqlBackend {
     }
 
     /// Mutable engine access (data loading). Under a middleware, reach it
-    /// via [`crate::Sieve::backend_mut`] so the write bumps the epoch.
+    /// via [`crate::SieveService::with_backend_mut`] so the write bumps
+    /// the epoch.
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
     }

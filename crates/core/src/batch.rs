@@ -12,14 +12,14 @@
 //! hit the same `(purpose, relation)` in one batch, the shared half runs
 //! once per group instead of once per querier.
 //!
-//! [`crate::middleware::Sieve::prepare_batch`] drives the process:
+//! [`crate::SieveService::prepare_batch`] drives the process:
 //! requests are grouped by [`group_requests`] (scope-aware over the whole
 //! query tree, so protected reads inside subqueries join their group), a
 //! [`SharedGroup`] is built per group, per-querier expressions come from
 //! [`SharedGroup::generate_for`], and the results enter the guard cache
 //! through one bulk insert. Batching changes the work schedule only —
 //! each querier's guarded expression covers exactly its relevant policies,
-//! so results are identical to sequential [`crate::middleware::Sieve::execute`]
+//! so results are identical to sequential [`crate::SieveService::execute`]
 //! calls.
 
 use crate::cost::CostModel;
@@ -193,7 +193,7 @@ pub struct BatchGroupReport {
     pub partition_reuses: usize,
 }
 
-/// Outcome of [`crate::middleware::Sieve::prepare_batch`].
+/// Outcome of [`crate::SieveService::prepare_batch`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchPrepareReport {
     /// Per-group breakdown.

@@ -14,7 +14,7 @@
 //!   (Section 6, treated as a constant dominated by |P|).
 //!
 //! `c_e`, `c_r` and `α` "are determined experimentally using a set of
-//! sample policies and tuples" (Section 4) — [`CostModel::calibrate`] does
+//! sample policies and tuples" (Section 4) — [`calibrate`] does
 //! exactly that against a loaded database.
 
 use crate::backend::SqlBackend;

@@ -13,19 +13,15 @@
 //!    ([`cost`]) via candidate merging (Theorem 1) and utility-greedy set
 //!    cover (Algorithm 1).
 //!
-//! The middleware surface comes in two shapes over one implementation:
+//! The middleware is [`service::SieveService`] — one concurrent object
+//! (`Send + Sync`, cheap clones, the whole query path at `&self`) that
+//! a single caller owns or a server shares across connection threads,
+//! configured by [`SieveOptions`]. Per-querier [`session::Session`]
+//! handles capture the metadata once, and [`session::Prepared`]
+//! statements pin a compiled rewrite for repeated zero-middleware
+//! execution.
 //!
-//! * [`service::SieveService`] — the **concurrent** middleware object
-//!   (`Send + Sync`, cheap clones, the whole query path at `&self`):
-//!   what a server shares across connection threads. Per-querier
-//!   [`session::Session`] handles capture the metadata once, and
-//!   [`session::Prepared`] statements pin a compiled rewrite for
-//!   repeated zero-middleware execution.
-//! * [`middleware::Sieve`] — the single-owner façade (a thin wrapper
-//!   over the service) with the classic `&mut self` API and direct
-//!   `&mut` backend access; experiments and tests use this.
-//!
-//! Either way, a query plus its metadata is rewritten ([`rewrite`]) with
+//! A query plus its metadata is rewritten ([`rewrite`]) with
 //! `WITH` clauses, index hints and inline-vs-∆ choices, and executed on a
 //! pluggable execution backend ([`backend::SqlBackend`] — the in-process
 //! [`minidb::Database`] by default, or the textual
@@ -82,7 +78,7 @@ pub use cache::{GuardCache, GuardCacheStats};
 pub use cost::{AccessStrategy, CostModel, StrategyCosts};
 pub use filter::{policy_applies, relevant_policies, GroupDirectory};
 pub use guard::{Guard, GuardSelectionStrategy, GuardedExpression};
-pub use middleware::{RetryPolicy, Sieve, SieveOptions};
+pub use middleware::{RetryPolicy, SieveOptions};
 pub use policy::{
     Action, CondPredicate, ObjectCondition, Policy, PolicyId, QuerierSpec, QueryMetadata,
     UserId, OWNER_ATTR, PURPOSE_ANY,

@@ -1,49 +1,18 @@
-//! The single-owner SIEVE middleware façade (paper Section 5).
+//! Configuration of the SIEVE middleware (paper Section 5).
 //!
-//! [`Sieve`] is a thin wrapper over the concurrent
-//! [`SieveService`](crate::service::SieveService): same enforcement, same
-//! caches, same backends — but owned by one caller, with the classic
-//! `&mut self` API and direct `&mut` escape hatches
-//! ([`Sieve::db_mut`], [`Sieve::backend_mut`], [`Sieve::options_mut`])
-//! that a shared service cannot hand out. Experiments, tests and
-//! single-threaded embedding use this type; a server that multiplexes
-//! connections uses [`SieveService`](crate::service::SieveService) plus
-//! per-connection [`Session`](crate::session::Session) handles instead.
-//!
-//! Queries come in with their metadata, get rewritten against the
-//! querier's guarded expressions, and the rewritten query is executed by
-//! whatever engine the backend reaches — the in-process [`Database`] by
-//! default, or the textual [`crate::WireSqlBackend`] that ships rendered
-//! SQL across a simulated wire. Policies enter through
-//! [`Sieve::add_policy`], which marks affected guarded expressions
-//! outdated; regeneration happens lazily at query time per the
-//! configured [`RegenerationPolicy`] (Sections 5.1 and 6).
-//!
-//! Out-of-band engine mutation ([`Sieve::db_mut`] /
-//! [`Sieve::backend_mut`]) bumps a **backend epoch**; cached guards
-//! carry the epoch they were generated under and lazily regenerate once
-//! it trails, so row estimates, owner-fallback guards and compiled ∆
-//! partitions can never act on data mutated underneath them.
+//! The middleware itself is [`crate::service::SieveService`]: queries come
+//! in with their metadata, get rewritten against the querier's guarded
+//! expressions, and the rewritten query is executed by whatever engine
+//! the backend reaches. This module holds what configures it —
+//! [`SieveOptions`] (guard selection, rewrite knobs, the
+//! [`RegenerationPolicy`] of Sections 5.1 and 6, persistence,
+//! verification), the [`RetryPolicy`] for retryable backend failures —
+//! and the [`Enforcement`] selector the experiments run queries under.
 
-use crate::backend::SqlBackend;
 use crate::baselines::Baseline;
-use crate::batch::BatchPrepareReport;
-use crate::cache::GuardCacheStats;
-use crate::cost::CostModel;
 use crate::dynamic::RegenerationPolicy;
-use crate::filter::GroupDirectory;
-use crate::guard::{GuardSelectionStrategy, GuardedExpression};
-use crate::policy::{Policy, PolicyId, QueryMetadata};
-use crate::error::SieveResult;
-use crate::rewrite::{RewriteOptions, RewriteOutput};
-use crate::service::{RecoveryStats, ServiceShared, SieveService};
-use minidb::plan::SelectQuery;
-use minidb::stats::ExecStats;
-use minidb::{Database, QueryResult};
-use parking_lot::RwLockReadGuard;
-use std::collections::HashSet;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use crate::guard::GuardSelectionStrategy;
+use crate::rewrite::RewriteOptions;
 use std::time::Duration;
 
 /// How the service retries retryable backend failures
@@ -128,284 +97,17 @@ pub enum Enforcement {
     NoPolicies,
 }
 
-/// The single-owner middleware, generic over its execution backend. The
-/// default parameter keeps every pre-existing `Sieve` call site compiling
-/// against the in-process engine.
-pub struct Sieve<B: SqlBackend = Database> {
-    service: SieveService<B>,
-}
-
-impl Sieve<Database> {
-    /// Serve an in-process database. Installs the ∆ UDF; creates the
-    /// policy relations when persistence is on.
-    pub fn new(db: Database, options: SieveOptions) -> SieveResult<Self> {
-        Self::with_backend(db, options)
-    }
-
-    /// The database (read access; holds the backend read lock for the
-    /// guard's lifetime).
-    pub fn db(&self) -> RwLockReadGuard<'_, Database> {
-        self.service.db()
-    }
-
-    /// The wrapped database (mutable, e.g. for loading data). Bumps the
-    /// backend epoch: guards generated before this access regenerate
-    /// lazily on their next use, since the caller may mutate rows or
-    /// schema underneath them.
-    ///
-    /// Requires exclusive ownership of the underlying service — panics if
-    /// a [`Sieve::service`] clone or session handle is still alive (use
-    /// [`SieveService::with_backend_mut`] in that case).
-    pub fn db_mut(&mut self) -> &mut Database {
-        self.backend_mut()
-    }
-}
-
-impl<B: SqlBackend> Sieve<B> {
-    /// Wrap an arbitrary execution backend. Installs the ∆ UDF; creates
-    /// the policy relations when persistence is on.
-    pub fn with_backend(backend: B, options: SieveOptions) -> SieveResult<Self> {
-        Ok(Sieve {
-            service: SieveService::with_backend(backend, options)?,
-        })
-    }
-
-    /// The shared service this façade wraps. Cloning it (or creating
-    /// sessions from it) is how a single-owner setup graduates to
-    /// concurrent use — but note that while any clone lives, the `&mut`
-    /// escape hatches ([`Sieve::db_mut`] and friends) panic; use the
-    /// service's `with_*_mut` closures instead.
-    pub fn service(&self) -> &SieveService<B> {
-        &self.service
-    }
-
-    /// Consume the façade, yielding the service handle.
-    pub fn into_service(self) -> SieveService<B> {
-        self.service
-    }
-
-    // A still-alive clone here is a caller contract violation, not a
-    // query-path fault — the documented panic stays (allowed past the
-    // fail-closed lint gate deliberately).
-    #[allow(clippy::disallowed_methods)]
-    fn shared_mut(&mut self) -> &mut ServiceShared<B> {
-        Arc::get_mut(&mut self.service.inner).expect(
-            "Sieve's &mut accessors need exclusive ownership of the underlying \
-             SieveService, but a clone/session is still alive; use the \
-             SieveService with_*_mut methods instead",
-        )
-    }
-
-    fn bump_backend_epoch(&self) {
-        self.service.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
-        self.service.inner.revision.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn bump_revision(&self) {
-        self.service.inner.revision.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The execution backend (read access; holds the backend read lock).
-    pub fn backend(&self) -> RwLockReadGuard<'_, B> {
-        self.service.backend()
-    }
-
-    /// The execution backend (mutable). Bumps the backend epoch, exactly
-    /// like [`Sieve::db_mut`]: any cached guard generated before this
-    /// access is treated as stale and regenerated on its next use. Panics
-    /// if a service clone or session is still alive.
-    pub fn backend_mut(&mut self) -> &mut B {
-        self.bump_backend_epoch();
-        self.shared_mut().backend.get_mut()
-    }
-
-    /// The current backend write-epoch (observability/tests).
-    pub fn backend_epoch(&self) -> u64 {
-        self.service.backend_epoch()
-    }
-
-    /// Current cost model (copy).
-    pub fn cost_model(&self) -> CostModel {
-        self.service.cost_model()
-    }
-
-    /// Replace the cost model (e.g. after [`crate::cost::calibrate`]).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.service.set_cost_model(cost);
-    }
-
-    /// Calibrate the cost model against a loaded table (Section 5.4).
-    pub fn calibrate(&mut self, table: &str, sample_rows: usize) -> SieveResult<()> {
-        self.service.calibrate(table, sample_rows)
-    }
-
-    /// Group directory (mutable, for registering memberships). Panics if
-    /// a service clone or session is still alive.
-    pub fn groups_mut(&mut self) -> &mut GroupDirectory {
-        self.bump_revision();
-        self.shared_mut().groups.get_mut()
-    }
-
-    /// Group directory (read access; holds its read lock).
-    pub fn groups(&self) -> RwLockReadGuard<'_, GroupDirectory> {
-        self.service.groups()
-    }
-
-    /// Options in effect (read access; holds their read lock).
-    pub fn options(&self) -> RwLockReadGuard<'_, SieveOptions> {
-        self.service.options_ref()
-    }
-
-    /// Mutable options (e.g. to force a strategy between runs). Panics if
-    /// a service clone or session is still alive.
-    pub fn options_mut(&mut self) -> &mut SieveOptions {
-        self.bump_revision();
-        self.shared_mut().options.get_mut()
-    }
-
-    /// Number of registered policies.
-    pub fn policy_count(&self) -> usize {
-        self.service.policy_count()
-    }
-
-    /// Snapshot of the registered policies (clones).
-    pub fn policies(&self) -> Vec<Policy> {
-        self.service.policies()
-    }
-
-    /// Register a policy. Marks affected guarded expressions outdated and
-    /// (optionally) persists to the policy relations.
-    pub fn add_policy(&mut self, policy: Policy) -> SieveResult<PolicyId> {
-        self.service.add_policy(policy)
-    }
-
-    /// Bulk registration.
-    pub fn add_policies(&mut self, policies: impl IntoIterator<Item = Policy>) -> SieveResult<()> {
-        self.service.add_policies(policies)
-    }
-
-    /// Drop all cached guarded expressions and free their ∆ partitions.
-    pub fn invalidate_all(&mut self) {
-        self.service.invalidate_all()
-    }
-
-    /// Guard-cache counters (hits, misses, invalidations, fragment work).
-    pub fn cache_stats(&self) -> GuardCacheStats {
-        self.service.cache_stats()
-    }
-
-    /// Recovery counters (retries, reconnects, re-prepares, exhausted
-    /// budgets).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.service.recovery_stats()
-    }
-
-    /// Guarded-expression generations performed (observability).
-    pub fn generations(&self) -> u64 {
-        self.service.generations()
-    }
-
-    /// Live ∆ partitions (observability: cached fragments keep theirs
-    /// registered; precise invalidation must keep this bounded).
-    pub fn delta_len(&self) -> usize {
-        self.service.delta_len()
-    }
-
-    /// Declare a relation access-controlled even before any policy exists
-    /// for it. Under the opt-out default (Section 3.1) a protected
-    /// relation with no applicable policies yields **no rows** — without
-    /// this declaration a brand-new table would be world-readable until
-    /// its first policy arrived. [`Sieve::add_policy`] protects the
-    /// policy's relation implicitly.
-    pub fn protect(&mut self, relation: impl Into<String>) {
-        self.service.protect(relation)
-    }
-
-    /// Relations currently under access control (read access).
-    pub fn protected_relations(&self) -> RwLockReadGuard<'_, HashSet<String>> {
-        self.service.protected_relations()
-    }
-
-    /// The guarded expression for (querier, purpose, relation), generating
-    /// or refreshing it per the regeneration policy.
-    pub fn guarded_expression(
-        &mut self,
-        qm: &QueryMetadata,
-        relation: &str,
-    ) -> SieveResult<GuardedExpression> {
-        self.service.guarded_expression(qm, relation)
-    }
-
-    /// Rewrite a query for a querier without executing it (Section 5.6's
-    /// output; useful for inspection and tests). Satisfied by the guard
-    /// cache on repeat queries.
-    pub fn rewrite(&mut self, query: &SelectQuery, qm: &QueryMetadata) -> SieveResult<RewriteOutput> {
-        self.service.rewrite(query, qm)
-    }
-
-    /// Execute a query under SIEVE enforcement.
-    pub fn execute(&mut self, query: &SelectQuery, qm: &QueryMetadata) -> SieveResult<QueryResult> {
-        self.service.execute(query, qm)
-    }
-
-    /// Execute and time a query under any enforcement mechanism; the
-    /// experiment harness's single entry point.
-    pub fn run_timed(
-        &mut self,
-        enforcement: Enforcement,
-        query: &SelectQuery,
-        qm: &QueryMetadata,
-    ) -> (SieveResult<QueryResult>, ExecStats) {
-        self.service.run_timed(enforcement, query, qm)
-    }
-
-    /// Parse SQL, then [`Sieve::execute`]. Repeat textual queries reuse
-    /// the cached AST instead of re-parsing.
-    pub fn execute_sql(&mut self, sql: &str, qm: &QueryMetadata) -> SieveResult<QueryResult> {
-        self.service.execute_sql(sql, qm)
-    }
-
-    /// Number of parsed-SQL cache entries (observability/tests).
-    pub fn sql_cache_len(&self) -> usize {
-        self.service.sql_cache_len()
-    }
-
-    /// True iff this exact SQL text is cached (observability/tests).
-    pub fn sql_cache_contains(&self, sql: &str) -> bool {
-        self.service.sql_cache_contains(sql)
-    }
-
-    /// Warm-populate the guard cache for a batch of concurrent queriers;
-    /// see [`SieveService::prepare_batch`].
-    pub fn prepare_batch(
-        &mut self,
-        requests: &[(QueryMetadata, SelectQuery)],
-    ) -> SieveResult<BatchPrepareReport> {
-        self.service.prepare_batch(requests)
-    }
-
-    /// Execute a batch of queries under SIEVE enforcement, amortizing
-    /// guard generation across queriers via [`Sieve::prepare_batch`].
-    /// Results are in request order and identical to calling
-    /// [`Sieve::execute`] per request.
-    pub fn execute_batch(
-        &mut self,
-        requests: &[(QueryMetadata, SelectQuery)],
-    ) -> SieveResult<Vec<QueryResult>> {
-        self.service.execute_batch(requests)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::relevant_policies;
-    use crate::policy::{CondPredicate, ObjectCondition, QuerierSpec};
-    use crate::service::SQL_CACHE_CAP;
+    use crate::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
+    use crate::service::{SieveService, SQL_CACHE_CAP};
+    use minidb::plan::SelectQuery;
     use minidb::value::DataType;
-    use minidb::{DbProfile, TableSchema, Value};
+    use minidb::{Database, DbProfile, TableSchema, Value};
 
-    fn loaded_sieve(profile: DbProfile) -> Sieve {
+    fn loaded_sieve(profile: DbProfile) -> SieveService {
         let mut db = Database::new(profile);
         db.create_table(TableSchema::of(
             "wifi_dataset",
@@ -433,7 +135,7 @@ mod tests {
             db.create_index("wifi_dataset", col).unwrap();
         }
         db.analyze("wifi_dataset").unwrap();
-        let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
+        let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
         // Owners 0..20 allow querier 500 to see their data at AP 1001.
         for owner in 0..20i64 {
             sieve
@@ -452,7 +154,7 @@ mod tests {
         sieve
     }
 
-    fn oracle_rows(sieve: &Sieve, qm: &QueryMetadata) -> Vec<minidb::Row> {
+    fn oracle_rows(sieve: &SieveService, qm: &QueryMetadata) -> Vec<minidb::Row> {
         let policies = sieve.policies();
         let relevant: Vec<&Policy> =
             relevant_policies(policies.iter(), "wifi_dataset", qm, &sieve.groups());
@@ -465,7 +167,7 @@ mod tests {
     #[test]
     fn sieve_matches_oracle_end_to_end() {
         for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
-            let mut sieve = loaded_sieve(profile);
+            let sieve = loaded_sieve(profile);
             let qm = QueryMetadata::new(500, "Analytics");
             let q = SelectQuery::star_from("wifi_dataset");
             let mut got = sieve.execute(&q, &qm).unwrap().rows;
@@ -478,7 +180,7 @@ mod tests {
 
     #[test]
     fn unauthorized_querier_sees_nothing() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(501, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         assert!(sieve.execute(&q, &qm).unwrap().is_empty());
@@ -486,7 +188,7 @@ mod tests {
 
     #[test]
     fn wrong_purpose_sees_nothing() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Marketing");
         let q = SelectQuery::star_from("wifi_dataset");
         assert!(sieve.execute(&q, &qm).unwrap().is_empty());
@@ -494,7 +196,7 @@ mod tests {
 
     #[test]
     fn all_enforcement_mechanisms_agree() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let expect = oracle_rows(&sieve, &qm);
@@ -513,7 +215,7 @@ mod tests {
 
     #[test]
     fn cache_regenerates_on_policy_insert() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let n0 = sieve.execute(&q, &qm).unwrap().len();
@@ -542,8 +244,8 @@ mod tests {
 
     #[test]
     fn manual_regeneration_still_enforces_pending() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
-        sieve.options_mut().regeneration = RegenerationPolicy::Manual;
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
+        sieve.with_options_mut(|o| o.regeneration = RegenerationPolicy::Manual);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let n0 = sieve.execute(&q, &qm).unwrap().len();
@@ -569,8 +271,8 @@ mod tests {
 
     #[test]
     fn group_policies_via_directory() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
-        sieve.groups_mut().add_member(9, 777);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
+        sieve.with_groups_mut(|g| g.add_member(9, 777));
         sieve
             .add_policy(Policy::new(
                 42,
@@ -596,7 +298,7 @@ mod tests {
         ))
         .unwrap();
         db.insert("t", vec![Value::Int(0), Value::Int(1)]).unwrap();
-        let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
+        let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
         let qm = QueryMetadata::new(1, "Any");
         let q = SelectQuery::star_from("t");
         // Without protection the table is outside access control.
@@ -608,7 +310,7 @@ mod tests {
 
     #[test]
     fn out_of_band_insert_regenerates_stale_guards() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let n0 = sieve.execute(&q, &qm).unwrap().len();
@@ -616,23 +318,24 @@ mod tests {
         // Re-running is a cache hit.
         sieve.execute(&q, &qm).unwrap();
         assert_eq!(sieve.generations(), gens);
-        // Out-of-band mutation through db_mut: new rows for owner 0 at the
-        // allowed AP. The cached guard (and its ∆/fragment state) was
-        // generated against the old data; the epoch bump must force lazy
-        // regeneration, and the new rows must be visible.
+        // Out-of-band mutation through with_backend_mut: new rows for
+        // owner 0 at the allowed AP. The cached guard (and its ∆/fragment
+        // state) was generated against the old data; the epoch bump must
+        // force lazy regeneration, and the new rows must be visible.
         let epoch_before = sieve.backend_epoch();
         for i in 0..5i64 {
             sieve
-                .db_mut()
-                .insert(
-                    "wifi_dataset",
-                    vec![
-                        Value::Int(100_000 + i),
-                        Value::Int(0),
-                        Value::Int(1001),
-                        Value::Time(0),
-                    ],
-                )
+                .with_backend_mut(|db| {
+                    db.insert(
+                        "wifi_dataset",
+                        vec![
+                            Value::Int(100_000 + i),
+                            Value::Int(0),
+                            Value::Int(1001),
+                            Value::Time(0),
+                        ],
+                    )
+                })
                 .unwrap();
         }
         assert!(sieve.backend_epoch() > epoch_before);
@@ -649,17 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn backend_mut_bumps_epoch_like_db_mut() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+    fn with_backend_mut_bumps_epoch() {
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let e0 = sieve.backend_epoch();
-        let _ = sieve.backend_mut();
-        let _ = sieve.db_mut();
+        sieve.with_backend_mut(|_| ());
+        sieve.with_backend_mut(|_| ());
         assert_eq!(sieve.backend_epoch(), e0 + 2);
     }
 
     #[test]
     fn sql_cache_evicts_one_entry_not_all() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         // Churn through more distinct texts than the cache holds: the
         // cache must stay pinned at the cap (single-entry LRU eviction),
@@ -690,7 +393,7 @@ mod tests {
 
     #[test]
     fn sql_cache_lru_keeps_reused_text_under_churn() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         let hot = "SELECT * FROM wifi_dataset WHERE wifi_ap = 1001";
         let cold_for =
@@ -719,7 +422,7 @@ mod tests {
 
     #[test]
     fn sql_entry_point() {
-        let mut sieve = loaded_sieve(DbProfile::MySqlLike);
+        let sieve = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         let res = sieve
             .execute_sql(
@@ -735,15 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_graduates_to_service_and_sessions() {
-        let sieve = loaded_sieve(DbProfile::MySqlLike);
+    fn session_path_matches_service_path() {
+        let service = loaded_sieve(DbProfile::MySqlLike);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
-        let expect = oracle_rows(&sieve, &qm);
-        let service = sieve.into_service();
+        let expect = oracle_rows(&service, &qm);
+        let mut direct = service.execute(&q, &qm).unwrap().rows;
+        direct.sort();
+        assert_eq!(direct, expect, "service path must match the oracle");
         let session = service.session(qm);
         let mut rows = session.execute(&q).unwrap().rows;
         rows.sort();
-        assert_eq!(rows, expect, "session path must match the façade path");
+        assert_eq!(rows, direct, "session path must match the service path");
     }
 }

@@ -22,8 +22,8 @@
 //!   lock (see [`crate::cache`]);
 //! * the backend sits behind a `RwLock<B>`: queries execute under the
 //!   read lock (engines execute through `&self`), out-of-band mutation
-//!   takes the write lock and bumps the **backend epoch** exactly like
-//!   `Sieve::db_mut` always did;
+//!   takes the write lock and bumps the **backend epoch**, so every
+//!   guard generated before the write regenerates on its next use;
 //! * ∆ partitions are reference-counted
 //!   ([`crate::delta::PartitionHandle`]) so invalidation can never free a
 //!   partition a concurrent query still references.
@@ -57,6 +57,11 @@
 //! can therefore never run under a guard that silently misses the policy;
 //! queries already in flight linearize before it, exactly like a query
 //! racing a policy insert on a single thread.
+//!
+//! Group-membership changes ([`SieveService::with_groups_mut`]) follow
+//! the same argument with the groups lock: generation holds its read side
+//! across the publish, and the membership change clears the cache before
+//! releasing the write side.
 //!
 //! Per-querier state lives in [`crate::session::Session`] handles (the
 //! object a wire server would hand each connection), and
@@ -177,8 +182,7 @@ pub(crate) struct ServiceShared<B: SqlBackend> {
 }
 
 /// The concurrent SIEVE middleware handle. Clones share all state; see
-/// the [module docs](self) for the locking design. The single-owner
-/// [`crate::Sieve`] façade is a thin wrapper over this type.
+/// the [module docs](self) for the locking design.
 pub struct SieveService<B: SqlBackend = Database> {
     pub(crate) inner: Arc<ServiceShared<B>>,
 }
@@ -239,6 +243,14 @@ impl<B: SqlBackend> SieveService<B> {
         })
     }
 
+    /// Identity. Kept only for `perfbench/src/env.rs`, which still calls
+    /// `campus.sieve.into_service()`; the next benchmark PR switches that
+    /// call to `campus.sieve` and deletes this method.
+    #[doc(hidden)]
+    pub fn into_service(self) -> Self {
+        self
+    }
+
     /// A per-querier session handle carrying `qm` for every call.
     pub fn session(&self, qm: QueryMetadata) -> crate::session::Session<B> {
         crate::session::Session::new(self.clone(), qm)
@@ -250,10 +262,10 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.backend.read()
     }
 
-    /// Run `f` with mutable backend access. Takes the backend write lock
-    /// and bumps the backend epoch, exactly like [`crate::Sieve::db_mut`]:
-    /// any cached guard generated before this access is treated as stale
-    /// and regenerated on its next use.
+    /// Run `f` with mutable backend access (e.g. for loading data). Takes
+    /// the backend write lock and bumps the backend epoch: any cached
+    /// guard generated before this access is treated as stale and
+    /// regenerated on its next use.
     pub fn with_backend_mut<R>(&self, f: impl FnOnce(&mut B) -> R) -> R {
         let mut backend = self.inner.backend.write();
         self.inner.backend_epoch.fetch_add(1, Ordering::SeqCst);
@@ -302,24 +314,22 @@ impl<B: SqlBackend> SieveService<B> {
         self.inner.groups.read()
     }
 
-    /// Run `f` with mutable access to the group directory. Bumps the
-    /// revision; cached expressions are *not* invalidated (membership
-    /// changes have never retro-invalidated guards — parity with the
-    /// single-owner façade), but prepared statements re-prepare.
+    /// Run `f` with mutable access to the group directory. Membership
+    /// decides which group policies reach a querier, so every cached
+    /// guard is dropped — and the revision bumped, so prepared statements
+    /// re-prepare — before the write lock is released. Generation holds
+    /// the groups read lock across its cache publish, so an expression
+    /// built from the old directory cannot land after the sweep.
     pub fn with_groups_mut<R>(&self, f: impl FnOnce(&mut GroupDirectory) -> R) -> R {
         let mut groups = self.inner.groups.write();
-        self.inner.revision.fetch_add(1, Ordering::SeqCst);
-        f(&mut groups)
+        let out = f(&mut groups);
+        self.invalidate_all();
+        out
     }
 
     /// Options in effect (clone).
     pub fn options(&self) -> SieveOptions {
         self.inner.options.read().clone()
-    }
-
-    /// Read access to the options (holds their read lock).
-    pub fn options_ref(&self) -> RwLockReadGuard<'_, SieveOptions> {
-        self.inner.options.read()
     }
 
     /// Run `f` with mutable access to the options (e.g. to force a

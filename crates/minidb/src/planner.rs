@@ -447,7 +447,7 @@ pub fn plan_access(
 /// profile shrinks its bitmap gate proportionally; the MySQL-like profile
 /// models a single-threaded optimizer (classic InnoDB has no parallel
 /// query) and keeps its gate fixed. When no index path survives the gate,
-/// the fallback is [`scan_plan`] — parallel when worthwhile.
+/// the fallback is a full scan — parallel when worthwhile.
 pub fn plan_access_opts(
     entry: &TableEntry,
     alias: &str,

@@ -5,7 +5,7 @@
 //! touches every page once; fetching rows through an index touches the set
 //! of distinct pages containing the matching rows (random reads), which is
 //! exactly the trade-off SIEVE's strategy selection reasons about
-//! (Section 5.5: "choosing [LinearScan] if the random access due to index
+//! (Section 5.5: "choosing \[LinearScan\] if the random access due to index
 //! scan is expected to be more costly than the sequential access").
 
 use crate::schema::TableSchema;

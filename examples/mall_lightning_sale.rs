@@ -8,7 +8,7 @@
 use sieve::core::baselines::Baseline;
 use sieve::core::middleware::Enforcement;
 use sieve::core::policy::QueryMetadata;
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile, SelectQuery};
 use sieve::workload::mall::{generate as generate_mall, MallConfig, MallDataset};
 use sieve::workload::MALL_TABLE;
@@ -34,14 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ds.policies.len()
     );
 
-    let mut sieve = Sieve::new(
+    let sieve = SieveService::new(
         db,
         SieveOptions {
             timeout: Some(Duration::from_secs(30)),
             ..Default::default()
         },
     )?;
-    *sieve.groups_mut() = ds.groups.clone();
+    sieve.with_groups_mut(|g| *g = ds.groups.clone());
     sieve.add_policies(ds.policies.iter().cloned())?;
 
     // Each shop runs "who is in the mall right now that I may target?".

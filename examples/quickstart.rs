@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, TableSchema};
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.analyze("wifi_dataset")?;
 
     // 2. Wrap the database in the SIEVE middleware.
-    let mut sieve = Sieve::new(db, SieveOptions::default())?;
+    let sieve = SieveService::new(db, SieveOptions::default())?;
 
     // 3. Policies (paper Section 3.1's running example): John allows
     //    Prof. Smith (querier 500) to see his connectivity at AP 1200

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example strategy_explain`
 
 use sieve::core::policy::{CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata};
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, TableSchema};
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     db.analyze("wifi_dataset")?;
 
-    let mut sieve = Sieve::new(db, SieveOptions::default())?;
+    let sieve = SieveService::new(db, SieveOptions::default())?;
     // 30 owners allow querier 1 at a couple of APs.
     for o in 0..30 {
         sieve.add_policy(Policy::new(

@@ -9,12 +9,12 @@
 
 use sieve::core::backend::{for_each_backend, DynBackend};
 use sieve::core::baselines::Baseline;
-use sieve::core::middleware::{Enforcement, Sieve as GenericSieve};
+use sieve::core::middleware::Enforcement;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
 use sieve::core::semantics::visible_rows;
-use sieve::core::SieveOptions;
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, Value};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
 use sieve::workload::tippers::{generate as generate_tippers, TippersConfig};
@@ -44,7 +44,7 @@ fn campus(profile: DbProfile) -> (Database, Vec<Policy>, sieve::workload::Tipper
 /// never mutates tables).
 fn check_all_mechanisms(
     backend_name: &str,
-    sieve: &mut GenericSieve<DynBackend>,
+    sieve: &SieveService<DynBackend>,
     db: &Database,
     queriers: &[i64],
     profile: DbProfile,
@@ -205,7 +205,7 @@ fn deny_factored_policies_hold_across_mechanisms_and_backends() {
     let q = SelectQuery::star_from(WIFI_TABLE);
     let qm = QueryMetadata::new(querier, "Analytics");
     let mut backends = 0;
-    for_each_backend(&db, &SieveOptions::default(), |name, mut sieve| {
+    for_each_backend(&db, &SieveOptions::default(), |name, sieve| {
         backends += 1;
         sieve.add_policies(factored.iter().cloned()).unwrap();
         // The algebra oracle over the factored set must equal the manual
@@ -248,10 +248,10 @@ fn all_mechanisms_equal_oracle_on_seeded_campus_for_every_backend() {
         // Results must be identical across backends, not just oracle-equal
         // per backend: collect a fingerprint per backend and compare.
         let mut fingerprints: Vec<(&'static str, Vec<Row>)> = Vec::new();
-        for_each_backend(&db, &SieveOptions::default(), |name, mut sieve| {
-            *sieve.groups_mut() = ds.groups.clone();
+        for_each_backend(&db, &SieveOptions::default(), |name, sieve| {
+            sieve.with_groups_mut(|g| *g = ds.groups.clone());
             sieve.add_policies(policies.iter().cloned()).unwrap();
-            check_all_mechanisms(name, &mut sieve, &db, &queriers, profile);
+            check_all_mechanisms(name, sieve, &db, &queriers, profile);
             let qm = QueryMetadata::new(queriers[0], "Analytics");
             let mut rows = sieve
                 .execute(&SelectQuery::star_from(WIFI_TABLE), &qm)

@@ -11,9 +11,7 @@ use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
 use sieve::core::semantics::visible_rows;
-use sieve::core::{
-    backend::for_each_backend, Session, Sieve, SieveOptions, SieveService, WireSqlBackend,
-};
+use sieve::core::{backend::for_each_backend, Session, SieveOptions, SieveService, WireSqlBackend};
 use sieve::minidb::value::DataType;
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,12 +108,10 @@ fn sorted_rows(res: sieve::minidb::QueryResult) -> Vec<Row> {
 #[test]
 fn hammer_threads_and_sessions_match_single_threaded_oracle() {
     let options = SieveOptions::default();
-    for_each_backend(&loaded_db(), &options, |backend_name, sieve| {
-        let mut sieve = sieve;
+    for_each_backend(&loaded_db(), &options, |backend_name, service| {
         register_corpus(&mut |p| {
-            sieve.add_policy(p).unwrap();
+            service.add_policy(p).unwrap();
         });
-        let service = sieve.into_service();
         // Oracles computed up front, single-threaded.
         let oracles: Vec<(QueryMetadata, Vec<Row>)> = QUERIERS
             .iter()
@@ -302,12 +298,12 @@ fn prepared_statement_is_shareable_across_threads() {
 /// the handle closes its statement.
 #[test]
 fn prepared_pins_and_recycles_wire_statements() {
-    let mut sieve =
-        Sieve::with_backend(WireSqlBackend::new(loaded_db()), SieveOptions::default()).unwrap();
+    let service =
+        SieveService::with_backend(WireSqlBackend::new(loaded_db()), SieveOptions::default())
+            .unwrap();
     register_corpus(&mut |p| {
-        sieve.add_policy(p).unwrap();
+        service.add_policy(p).unwrap();
     });
-    let service = sieve.into_service();
     let session = service.session(QueryMetadata::new(500, "Analytics"));
     let prepared = session.prepare(SelectQuery::star_from(REL)).unwrap();
     let id0 = prepared
@@ -400,23 +396,4 @@ fn concurrent_execute_sql_shares_the_parsed_ast() {
     });
     assert_eq!(service.sql_cache_len(), 1, "one text, one cached AST");
     assert!(service.sql_cache_contains(sql));
-}
-
-/// The single-owner façade escape hatches refuse to run while the
-/// service is shared (they need exclusive ownership), instead of
-/// silently mutating state other threads rely on.
-#[test]
-fn facade_mut_accessors_guard_against_live_clones() {
-    let mut sieve = Sieve::new(loaded_db(), SieveOptions::default()).unwrap();
-    // Exclusive: fine.
-    sieve.db_mut();
-    let clone = sieve.service().clone();
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = sieve.db_mut();
-    }))
-    .is_err();
-    assert!(panicked, "db_mut with a live service clone must refuse");
-    drop(clone);
-    // Exclusive again: fine.
-    sieve.db_mut();
 }

@@ -11,11 +11,11 @@ use sieve::core::policy::{
 };
 use sieve::core::rewrite::DeltaMode;
 use sieve::core::semantics::visible_rows;
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema};
 
-fn build_sieve(profile: DbProfile) -> Sieve {
+fn build_sieve(profile: DbProfile) -> SieveService {
     let mut db = Database::new(profile);
     db.create_table(TableSchema::of(
         "wifi_dataset",
@@ -46,8 +46,8 @@ fn build_sieve(profile: DbProfile) -> Sieve {
     }
     db.analyze("wifi_dataset").unwrap();
 
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
-    sieve.groups_mut().add_member(5, 500); // querier 500 in group 5
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
+    sieve.with_groups_mut(|g| g.add_member(5, 500)); // querier 500 in group 5
     // A mixed policy corpus: user- and group-targeted, equality, range,
     // IN-list, and varied purposes.
     for i in 0..40i64 {
@@ -89,7 +89,7 @@ fn build_sieve(profile: DbProfile) -> Sieve {
     sieve
 }
 
-fn oracle(sieve: &Sieve, qm: &QueryMetadata) -> Vec<Row> {
+fn oracle(sieve: &SieveService, qm: &QueryMetadata) -> Vec<Row> {
     let policies = sieve.policies();
     let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
         policies.iter(),
@@ -102,7 +102,12 @@ fn oracle(sieve: &Sieve, qm: &QueryMetadata) -> Vec<Row> {
     rows
 }
 
-fn run_sorted(sieve: &mut Sieve, e: Enforcement, q: &SelectQuery, qm: &QueryMetadata) -> Vec<Row> {
+fn run_sorted(
+    sieve: &SieveService,
+    e: Enforcement,
+    q: &SelectQuery,
+    qm: &QueryMetadata,
+) -> Vec<Row> {
     let (res, _) = sieve.run_timed(e, q, qm);
     let mut rows = res.expect("query must succeed").rows;
     rows.sort();
@@ -112,7 +117,7 @@ fn run_sorted(sieve: &mut Sieve, e: Enforcement, q: &SelectQuery, qm: &QueryMeta
 #[test]
 fn all_mechanisms_equal_oracle_on_both_profiles() {
     for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
-        let mut sieve = build_sieve(profile);
+        let sieve = build_sieve(profile);
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("wifi_dataset");
         let expect = oracle(&sieve, &qm);
@@ -123,7 +128,7 @@ fn all_mechanisms_equal_oracle_on_both_profiles() {
             Enforcement::Baseline(Baseline::I),
             Enforcement::Baseline(Baseline::U),
         ] {
-            let got = run_sorted(&mut sieve, e, &q, &qm);
+            let got = run_sorted(&sieve, e, &q, &qm);
             assert_eq!(got, expect, "{e:?} on {profile:?} diverged from oracle");
         }
     }
@@ -141,10 +146,12 @@ fn every_strategy_and_delta_mode_is_equivalent() {
         Some(AccessStrategy::IndexGuards),
     ] {
         for delta in [DeltaMode::Auto, DeltaMode::Never, DeltaMode::Always] {
-            let mut sieve = build_sieve(DbProfile::MySqlLike);
-            sieve.options_mut().rewrite.forced_strategy = strategy;
-            sieve.options_mut().rewrite.delta_mode = delta;
-            let got = run_sorted(&mut sieve, Enforcement::Sieve, &q, &qm);
+            let sieve = build_sieve(DbProfile::MySqlLike);
+            sieve.with_options_mut(|o| {
+                o.rewrite.forced_strategy = strategy;
+                o.rewrite.delta_mode = delta;
+            });
+            let got = run_sorted(&sieve, Enforcement::Sieve, &q, &qm);
             match &reference {
                 None => reference = Some(got),
                 Some(r) => assert_eq!(
@@ -159,7 +166,7 @@ fn every_strategy_and_delta_mode_is_equivalent() {
 
 #[test]
 fn query_predicates_compose_with_policies() {
-    let mut sieve = build_sieve(DbProfile::PostgresLike);
+    let sieve = build_sieve(DbProfile::PostgresLike);
     let qm = QueryMetadata::new(500, "Analytics");
     let q = sieve::minidb::sql::parse(
         "SELECT * FROM wifi_dataset WHERE wifi_ap IN (1001, 1002) \
@@ -180,7 +187,7 @@ fn query_predicates_compose_with_policies() {
         Enforcement::Baseline(Baseline::I),
         Enforcement::Baseline(Baseline::U),
     ] {
-        let got = run_sorted(&mut sieve, e, &q, &qm);
+        let got = run_sorted(&sieve, e, &q, &qm);
         assert_eq!(got, oracle_rows, "{e:?} with query predicate diverged");
     }
 }
@@ -190,7 +197,7 @@ fn aggregation_happens_after_enforcement() {
     // Policies must be enforced before non-monotonic operations
     // (Section 3.1): a COUNT under enforcement must count only visible
     // rows, never leak the raw count.
-    let mut sieve = build_sieve(DbProfile::MySqlLike);
+    let sieve = build_sieve(DbProfile::MySqlLike);
     let qm = QueryMetadata::new(500, "Analytics");
     let visible = oracle(&sieve, &qm).len() as i64;
     let res = sieve
@@ -203,7 +210,7 @@ fn aggregation_happens_after_enforcement() {
 
 #[test]
 fn group_by_respects_enforcement() {
-    let mut sieve = build_sieve(DbProfile::MySqlLike);
+    let sieve = build_sieve(DbProfile::MySqlLike);
     let qm = QueryMetadata::new(500, "Analytics");
     let res = sieve
         .execute_sql(
@@ -237,7 +244,7 @@ fn derived_value_policies_enforced() {
         .unwrap();
     db.create_index("wifi_dataset", "owner").unwrap();
     db.analyze("wifi_dataset").unwrap();
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
     let sub = sieve::minidb::sql::parse(
         "SELECT w2.wifi_ap FROM wifi_dataset AS w2 WHERE w2.owner = 2 LIMIT 1",
     )

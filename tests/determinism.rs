@@ -6,7 +6,7 @@
 //! cross-run benchmark comparison.
 
 use sieve::core::policy::{Policy, QueryMetadata};
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery};
 use sieve::workload::mall::{generate as generate_mall, MallConfig};
 use sieve::workload::policy_gen::{generate_policies, PolicyGenConfig};
@@ -98,11 +98,11 @@ fn query_generation_and_results_are_deterministic() {
     let (db_b, ds_b) = campus(99);
     let policies = generate_policies(&ds_a, &PolicyGenConfig::default());
 
-    let mut sieve_a = Sieve::new(db_a, SieveOptions::default()).unwrap();
-    *sieve_a.groups_mut() = ds_a.groups.clone();
+    let sieve_a = SieveService::new(db_a, SieveOptions::default()).unwrap();
+    sieve_a.with_groups_mut(|g| *g = ds_a.groups.clone());
     sieve_a.add_policies(policies.clone()).unwrap();
-    let mut sieve_b = Sieve::new(db_b, SieveOptions::default()).unwrap();
-    *sieve_b.groups_mut() = ds_b.groups.clone();
+    let sieve_b = SieveService::new(db_b, SieveOptions::default()).unwrap();
+    sieve_b.with_groups_mut(|g| *g = ds_b.groups.clone());
     sieve_b.add_policies(policies).unwrap();
 
     let faculty = ds_a.devices_of(UserProfile::Faculty).next().unwrap().id;

@@ -18,12 +18,12 @@
 use proptest::prelude::*;
 use sieve::core::backend::{for_each_backend, DynBackend};
 use sieve::core::baselines::Baseline;
-use sieve::core::middleware::{Enforcement, Sieve};
+use sieve::core::middleware::Enforcement;
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
 use sieve::core::semantics::visible_rows;
-use sieve::core::SieveOptions;
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
 use sieve::minidb::plan::{AggFunc, IndexHint, SelectItem, TableRef, TableSource};
 use sieve::minidb::value::DataType;
@@ -102,9 +102,9 @@ fn corpus() -> Vec<Policy> {
 
 /// Run `f` once per backend against a fully loaded sieve, handing along
 /// the oracle database (same content as the sieve's backend).
-fn for_sieves(mut f: impl FnMut(&'static str, Sieve<DynBackend>, &Database)) {
+fn for_sieves(mut f: impl FnMut(&'static str, &SieveService<DynBackend>, &Database)) {
     let db = loaded_db();
-    for_each_backend(&db, &SieveOptions::default(), |name, mut sieve| {
+    for_each_backend(&db, &SieveOptions::default(), |name, sieve| {
         for p in corpus() {
             sieve.add_policy(p).unwrap();
         }
@@ -115,7 +115,11 @@ fn for_sieves(mut f: impl FnMut(&'static str, Sieve<DynBackend>, &Database)) {
 /// A database identical to the sieve's, except the protected table holds
 /// exactly the querier's visible rows. Running the *original* query here
 /// yields the expected output for any query shape.
-fn visible_database(sieve: &Sieve<DynBackend>, db: &Database, qm: &QueryMetadata) -> Database {
+fn visible_database(
+    sieve: &SieveService<DynBackend>,
+    db: &Database,
+    qm: &QueryMetadata,
+) -> Database {
     let policies = sieve.policies();
     let relevant: Vec<&Policy> = sieve::core::filter::relevant_policies(
         policies.iter(),
@@ -138,7 +142,7 @@ fn visible_database(sieve: &Sieve<DynBackend>, db: &Database, qm: &QueryMetadata
 /// checks at the call site.
 fn assert_enforced(
     backend: &str,
-    sieve: &mut Sieve<DynBackend>,
+    sieve: &SieveService<DynBackend>,
     db: &Database,
     qm: &QueryMetadata,
     q: &SelectQuery,
@@ -184,10 +188,10 @@ fn count_star(rel: &str) -> SelectQuery {
 
 #[test]
 fn derived_table_is_guarded() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         let q = derived(SelectQuery::star_from(REL), "d");
-        let n = assert_enforced(backend, &mut sieve, db, &qm, &q);
+        let n = assert_enforced(backend, sieve, db, &qm, &q);
         assert!(n > 0, "authorized querier must see rows");
         // And strictly fewer than the raw table (enforcement actually bit).
         assert!(n < db.table(REL).unwrap().table.len());
@@ -196,25 +200,25 @@ fn derived_table_is_guarded() {
 
 #[test]
 fn doubly_nested_derived_table_is_guarded() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         let q = derived(derived(SelectQuery::star_from(REL), "inner1"), "outer1");
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn with_body_is_guarded() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         let q = SelectQuery::star_from("v").with_clause("v", SelectQuery::star_from(REL));
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn scalar_subquery_is_guarded() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         // boards rows whose k is below the number of *visible* wifi rows:
         // the unguarded COUNT would see all 3000 rows and return every
@@ -224,13 +228,13 @@ fn scalar_subquery_is_guarded() {
             lhs: Box::new(Expr::Column(ColumnRef::bare("k"))),
             rhs: Box::new(Expr::ScalarSubquery(Box::new(count_star(REL)))),
         });
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn scalar_subquery_in_protected_query_is_guarded() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         // Both the outer read and the aggregate feeding its predicate are
         // protected reads.
@@ -247,13 +251,13 @@ fn scalar_subquery_in_protected_query_is_guarded() {
             lhs: Box::new(Expr::Column(ColumnRef::bare("owner"))),
             rhs: Box::new(Expr::ScalarSubquery(Box::new(max_owner))),
         });
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn cte_shadowing_protected_name_resolves_to_cte() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         // The WITH body reads the protected base table (must be guarded);
         // the main body's `wifi_dataset` is the CTE, not a second base
@@ -263,13 +267,13 @@ fn cte_shadowing_protected_name_resolves_to_cte() {
             Value::Int(1001),
         ));
         let q = SelectQuery::star_from(REL).with_clause(REL, body);
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn cte_shadowing_without_protected_read_stays_untouched() {
-    for_sieves(|backend, mut sieve, _db| {
+    for_sieves(|backend, sieve, _db| {
         let qm = QueryMetadata::new(500, "Analytics");
         // A CTE named like the protected relation but reading only the
         // unprotected helper: nothing here is access-controlled, and
@@ -289,7 +293,7 @@ fn cte_shadowing_without_protected_read_stays_untouched() {
 
 #[test]
 fn with_clause_referencing_guarded_base_and_join() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         // The relation is read twice — once in a CTE body, once in the
         // main body — so the guard CTE is shared and no pushdown applies.
@@ -313,13 +317,13 @@ fn with_clause_referencing_guarded_base_and_join() {
             limit: None,
         }
         .with_clause("v", body);
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn nested_combination_with_derived_and_scalar_subquery() {
-    for_sieves(|backend, mut sieve, db| {
+    for_sieves(|backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         // WITH a AS (SELECT * FROM (SELECT * FROM wifi)) SELECT * FROM a
         // WHERE owner <= (SELECT MAX(owner) FROM wifi)
@@ -338,13 +342,13 @@ fn nested_combination_with_derived_and_scalar_subquery() {
                 lhs: Box::new(Expr::Column(ColumnRef::bare("owner"))),
                 rhs: Box::new(Expr::ScalarSubquery(Box::new(max_owner))),
             });
-        assert!(assert_enforced(backend, &mut sieve, db, &qm, &q) > 0);
+        assert!(assert_enforced(backend, sieve, db, &qm, &q) > 0);
     });
 }
 
 #[test]
 fn unauthorized_querier_sees_nothing_through_nesting() {
-    for_sieves(|backend, mut sieve, _db| {
+    for_sieves(|backend, sieve, _db| {
         let qm = QueryMetadata::new(999, "Analytics");
         for q in [
             derived(SelectQuery::star_from(REL), "d"),
@@ -368,7 +372,7 @@ fn unauthorized_querier_sees_nothing_through_nesting() {
 
 #[test]
 fn sql_text_round_trip_is_guarded() {
-    for_sieves(|_backend, mut sieve, db| {
+    for_sieves(|_backend, sieve, db| {
         let qm = QueryMetadata::new(500, "Analytics");
         let res = sieve
             .execute_sql(
@@ -530,7 +534,7 @@ fn deny_policies_are_enforced_on_every_backend() {
 
     let qm = QueryMetadata::new(500, "Analytics");
     let mut backends = 0;
-    for_each_backend(&db, &SieveOptions::default(), |name, mut sieve| {
+    for_each_backend(&db, &SieveOptions::default(), |name, sieve| {
         backends += 1;
         for p in &policies {
             sieve.add_policy(p.clone()).unwrap();
@@ -550,7 +554,7 @@ fn deny_policies_are_enforced_on_every_backend() {
 
 #[test]
 fn baselines_fail_closed_on_nested_reads() {
-    for_sieves(|backend, mut sieve, _db| {
+    for_sieves(|backend, sieve, _db| {
         let qm = QueryMetadata::new(500, "Analytics");
         let nested = derived(SelectQuery::star_from(REL), "d");
         // A relation read BOTH top-level and nested: the top-level filter
@@ -655,10 +659,10 @@ proptest! {
         let qm = QueryMetadata::new(if authorized { 500 } else { 901 }, "Analytics");
         let q = build_nested(&nesting);
         let mut per_backend: Vec<Vec<Row>> = Vec::new();
-        for_sieves(|name, mut sieve, db| {
+        for_sieves(|name, sieve, db| {
             let mut got = sieve.execute(&q, &qm).expect("sieve execute").rows;
             got.sort();
-            let vdb = visible_database(&sieve, db, &qm);
+            let vdb = visible_database(sieve, db, &qm);
             let mut expect = vdb.run_query(&q).expect("oracle execute").rows;
             expect.sort();
             assert_eq!(&got, &expect, "nesting {nesting:?} via backend {name}");

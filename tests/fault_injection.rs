@@ -19,7 +19,7 @@ use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
 use sieve::core::semantics::visible_rows;
-use sieve::core::{BackendError, Sieve, SieveError, SieveOptions, SieveService};
+use sieve::core::{BackendError, SieveError, SieveOptions, SieveService};
 use sieve::minidb::value::DataType;
 use sieve::minidb::{Database, DbProfile, Row, SelectQuery, TableSchema, Value};
 use std::sync::Arc;
@@ -84,15 +84,15 @@ fn faulty_service<B: SqlBackend>(
     inner: B,
     config: FaultConfig,
 ) -> SieveService<FaultInjectingBackend<B>> {
-    let mut sieve = Sieve::with_backend(
+    let service = SieveService::with_backend(
         FaultInjectingBackend::new(inner, config),
         SieveOptions::default(),
     )
     .unwrap();
     register_corpus(&mut |p| {
-        sieve.add_policy(p).unwrap();
+        service.add_policy(p).unwrap();
     });
-    sieve.into_service()
+    service
 }
 
 /// Single-threaded visible-rows oracle for a querier, computed with

@@ -10,7 +10,7 @@ use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
 use sieve::core::semantics::visible_rows;
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::{DataType, Value};
 use sieve::minidb::{Database, DbProfile, SelectQuery, TableSchema};
 
@@ -31,7 +31,7 @@ fn arb_corpus() -> impl Strategy<Value = Corpus> {
         .prop_map(|(policies, rows)| Corpus { policies, rows })
 }
 
-fn build(corpus: &Corpus, profile: DbProfile) -> Sieve {
+fn build(corpus: &Corpus, profile: DbProfile) -> SieveService {
     let mut db = Database::new(profile);
     db.create_table(TableSchema::of(
         "t",
@@ -59,14 +59,16 @@ fn build(corpus: &Corpus, profile: DbProfile) -> Sieve {
         db.create_index("t", col).unwrap();
     }
     db.analyze("t").unwrap();
-    let mut sieve = Sieve::new(db, SieveOptions::default()).unwrap();
+    let sieve = SieveService::new(db, SieveOptions::default()).unwrap();
     // The relation is access-controlled even when the corpus is empty
     // (default deny must hold with zero policies).
     sieve.protect("t");
     // Queriers 100..104; querier 100 is in groups 0 and 1.
-    sieve.groups_mut().add_member(0, 100);
-    sieve.groups_mut().add_member(1, 100);
-    sieve.groups_mut().add_member(2, 101);
+    sieve.with_groups_mut(|g| {
+        g.add_member(0, 100);
+        g.add_member(1, 100);
+        g.add_member(2, 101);
+    });
     for (owner, group, user, purpose, shape) in &corpus.policies {
         let querier = match group {
             Some(g) => QuerierSpec::Group(*g),
@@ -115,7 +117,7 @@ proptest! {
         profile_pg in any::<bool>(),
     ) {
         let profile = if profile_pg { DbProfile::PostgresLike } else { DbProfile::MySqlLike };
-        let mut sieve = build(&corpus, profile);
+        let sieve = build(&corpus, profile);
         let purpose = ["Analytics", "Safety", "Marketing"][purpose_idx];
         let qm = QueryMetadata::new(querier, purpose);
         let policies = sieve.policies();

@@ -17,7 +17,7 @@ use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
 use sieve::core::rewrite::DeltaMode;
-use sieve::core::{Sieve, SieveOptions};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
 use sieve::minidb::plan::{IndexHint, SelectItem, TableRef, TableSource};
 use sieve::minidb::value::DataType;
@@ -259,7 +259,7 @@ proptest! {
         let mut options = SieveOptions::default();
         options.rewrite.delta_mode = delta_mode;
         options.rewrite.forced_strategy = forced;
-        let mut sieve = Sieve::new(loaded_db(), options).unwrap();
+        let sieve = SieveService::new(loaded_db(), options).unwrap();
         for (owner, shape) in &policies {
             sieve.add_policy(to_policy(*owner, shape)).unwrap();
         }

@@ -15,7 +15,7 @@ use sieve::core::backend::{for_each_backend, FaultConfig, FaultInjectingBackend}
 use sieve::core::policy::{
     CondPredicate, ObjectCondition, Policy, QuerierSpec, QueryMetadata,
 };
-use sieve::core::{Sieve, SieveOptions, SieveService};
+use sieve::core::{SieveOptions, SieveService};
 use sieve::minidb::value::DataType;
 use sieve::minidb::{Database, DbProfile, Row, TableSchema, Value};
 use sieve::protocol::frame::{read_frame, write_frame};
@@ -111,12 +111,10 @@ fn qm(querier: i64) -> QueryMetadata {
 /// connections, for both the one-shot and the prepared path.
 #[test]
 fn remote_sessions_row_identical_to_in_process_oracle() {
-    for_each_backend(&loaded_db(), &SieveOptions::default(), |name, sieve| {
-        let mut sieve = sieve;
+    for_each_backend(&loaded_db(), &SieveOptions::default(), |name, service| {
         register_corpus(&mut |p| {
-            sieve.add_policy(p).unwrap();
+            service.add_policy(p).unwrap();
         });
-        let service = sieve.into_service();
 
         // In-process oracle rows, per querier, before the storm.
         let oracles: Vec<(i64, Vec<Row>)> = QUERIERS
@@ -129,7 +127,7 @@ fn remote_sessions_row_identical_to_in_process_oracle() {
             })
             .collect();
 
-        let server = SieveServer::new(service, authenticator());
+        let server = SieveServer::new(service.clone(), authenticator());
         let (listener, connector) = loopback();
         let handle = server.serve(listener);
 
@@ -181,15 +179,14 @@ fn remote_sessions_row_identical_to_in_process_oracle() {
 /// error — never a protocol error, never raw rows.
 #[test]
 fn remote_results_row_identical_under_fault_injection() {
-    let mut sieve = Sieve::with_backend(
+    let service = SieveService::with_backend(
         FaultInjectingBackend::new(loaded_db(), FaultConfig::seeded(42, 0.3)),
         SieveOptions::default(),
     )
     .unwrap();
     register_corpus(&mut |p| {
-        sieve.add_policy(p).unwrap();
+        service.add_policy(p).unwrap();
     });
-    let service = sieve.into_service();
 
     // Oracle with injection off.
     service.backend().set_enabled(false);
