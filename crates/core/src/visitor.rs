@@ -11,25 +11,11 @@ use minidb::expr::{ColumnRef, Expr};
 use minidb::plan::{SelectQuery, TableSource};
 use std::collections::{BTreeSet, HashSet};
 
-/// Visit every scalar subquery in an expression (not descending into the
-/// subqueries' own predicates, which resolve in their own scope).
-pub fn visit_subqueries(e: &Expr, f: &mut dyn FnMut(&SelectQuery)) {
-    e.visit(&mut |node| {
-        if let Expr::ScalarSubquery(q) = node {
-            f(q);
-        }
-    });
-}
-
-/// True iff the expression contains a scalar subquery anywhere. Such
-/// predicates are never pushed into a guard WITH body: their correlated
-/// references resolve against the outer query's FROM layout, which the
-/// body does not reproduce.
-pub fn contains_subquery(e: &Expr) -> bool {
-    let mut found = false;
-    visit_subqueries(e, &mut |_| found = true);
-    found
-}
+// The subquery walkers live in minidb, whose CTE-merge rule needs them
+// too. A predicate that `contains_subquery` is never pushed into a guard
+// WITH body: its correlated references resolve against the outer query's
+// FROM layout, which the body does not reproduce.
+pub use minidb::expr::{contains_subquery, visit_subqueries};
 
 /// Replace `alias.col` references with bare `col` references so an outer
 /// predicate can move inside a single-relation WITH body. Scalar

@@ -1,11 +1,13 @@
 //! Query execution.
 //!
 //! Materializing executor over the access plans chosen by
-//! [`crate::planner`]. Executes `WITH` clauses first (into temp tables, as
-//! PostgreSQL materializes CTEs), then the body: per-table access, left-deep
-//! joins (index nested-loop when the inner side has a usable index, hash
-//! join otherwise), residual filters, GROUP BY/aggregates, projection, and
-//! LIMIT. All data movement is charged to the query's own
+//! [`crate::planner`]. A `WITH` clause that is a plain filter over one base
+//! table, read once, is merged into its reader (as PostgreSQL ≥ 12 inlines
+//! such a CTE; see [`crate::planner::mergeable_cte`]); every other clause
+//! runs first, into a temp table. Then the body: per-table access,
+//! left-deep joins (index nested-loop when the inner side is a base table
+//! or merged CTE with an index on the join column, hash join otherwise),
+//! residual filters, GROUP BY/aggregates, projection, and LIMIT. All data movement is charged to the query's own
 //! [`CounterBlock`]: one block per execution, borrowed by nested subqueries
 //! and UDF calls, so a query's counts are exact however many other queries
 //! run at the same time.
@@ -15,8 +17,8 @@ use crate::error::{DbError, DbResult};
 use crate::expr::{bind, ColumnRef, EvalContext, Expr, FilterProgram, Layout, QueryRunner};
 use crate::plan::{AggFunc, IndexHint, SelectItem, SelectQuery, TableRef, TableSource};
 use crate::planner::{
-    classify_predicate, plan_access_opts, AccessPlan, JoinCond, ScanOptions, MORSEL_ROWS,
-    PARALLEL_MIN_ROWS,
+    classify_predicate, mergeable_cte, plan_access_opts, AccessPlan, JoinCond, MergedCte,
+    ScanOptions, MORSEL_ROWS, PARALLEL_MIN_ROWS,
 };
 use crate::schema::{Column, TableSchema};
 use crate::stats::{CounterBlock, Counters};
@@ -117,20 +119,25 @@ impl TempTable {
 type MorselOut = Vec<(usize, Vec<Row>)>;
 
 /// What a FROM entry resolved to.
-enum Rel<'a> {
-    Base(&'a TableEntry),
+enum Rel<'r> {
+    Base(&'r TableEntry),
     Temp(Arc<TempTable>),
+    /// A merged `WITH` clause: its body's base table, read through the
+    /// body's predicate wherever the reader reads it.
+    Merged(&'r TableEntry, MergedCte<'r>),
 }
 
 impl Rel<'_> {
     fn schema(&self) -> Arc<TableSchema> {
         match self {
-            Rel::Base(e) => e.schema().clone(),
+            Rel::Base(e) | Rel::Merged(e, _) => e.schema().clone(),
             Rel::Temp(t) => t.schema.clone(),
         }
     }
-
 }
+
+/// The `WITH` clauses of one query that merge into its FROM, by name.
+type Merged<'q> = [(&'q str, MergedCte<'q>)];
 
 /// Rows evaluated per filter batch: big enough to amortize the deadline
 /// check and selection-vector bookkeeping, small enough to stay cache-hot.
@@ -252,12 +259,18 @@ impl<'a> Exec<'a> {
 
     fn run(&self, query: &SelectQuery) -> DbResult<QueryResult> {
         if query.with.is_empty() {
-            return self.run_body(query);
+            return self.run_body(query, &[]);
         }
         // Each WITH clause sees the ones before it; only the map itself is
-        // rebuilt, the materialized tables are shared by Arc.
+        // rebuilt, the materialized tables are shared by Arc. A clause that
+        // merges is planned inside the body instead.
         let mut temps = self.temps.clone();
-        for wc in &query.with {
+        let mut merged = Vec::new();
+        for (i, wc) in query.with.iter().enumerate() {
+            if let Some(cte) = mergeable_cte(query, i, |n| self.temps.contains_key(n)) {
+                merged.push((wc.name.as_str(), cte));
+                continue;
+            }
             let result = self
                 .scoped(&temps, self.params, self.threads)
                 .run(&wc.query)?;
@@ -267,13 +280,15 @@ impl<'a> Exec<'a> {
             );
         }
         self.scoped(&temps, self.params, self.threads)
-            .run_body(query)
+            .run_body(query, &merged)
     }
 
-    fn resolve(&self, tref: &TableRef) -> DbResult<Rel<'a>> {
+    fn resolve<'r>(&'r self, tref: &TableRef, merged: &Merged<'r>) -> DbResult<Rel<'r>> {
         match &tref.source {
             TableSource::Named(name) => {
-                if let Some(t) = self.temps.get(name) {
+                if let Some((_, cte)) = merged.iter().find(|(n, _)| *n == name.as_str()) {
+                    Ok(Rel::Merged(self.db.table(cte.table)?, *cte))
+                } else if let Some(t) = self.temps.get(name) {
                     Ok(Rel::Temp(t.clone()))
                 } else {
                     Ok(Rel::Base(self.db.table(name)?))
@@ -289,15 +304,15 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn run_body(&self, query: &SelectQuery) -> DbResult<QueryResult> {
+    fn run_body(&self, query: &SelectQuery, merged: &Merged<'_>) -> DbResult<QueryResult> {
         if query.from.is_empty() {
             return Err(DbError::Unsupported("query without FROM".into()));
         }
         // Resolve FROM entries and build the combined layout.
-        let mut rels: Vec<(String, Rel<'a>, IndexHint)> = Vec::with_capacity(query.from.len());
+        let mut rels: Vec<(String, Rel<'_>, IndexHint)> = Vec::with_capacity(query.from.len());
         let mut layout = Layout::new();
         for tref in &query.from {
-            let rel = self.resolve(tref)?;
+            let rel = self.resolve(tref, merged)?;
             layout.push(tref.alias.clone(), rel.schema());
             rels.push((tref.alias.clone(), rel, tref.hint.clone()));
         }
@@ -318,14 +333,7 @@ impl<'a> Exec<'a> {
         let mut joined_aliases = vec![first_alias.clone()];
         for (alias, rel, hint) in rels.iter().skip(1) {
             let local = classified.local_predicate(alias);
-            let conds: Vec<&JoinCond> = classified
-                .joins
-                .iter()
-                .filter(|j| {
-                    (j.left_alias == *alias && joined_aliases.contains(&j.right_alias))
-                        || (j.right_alias == *alias && joined_aliases.contains(&j.left_alias))
-                })
-                .collect();
+            let conds = classified.joins_to(alias, &joined_aliases);
             rows = self.join(
                 rows,
                 &joined_aliases,
@@ -343,23 +351,7 @@ impl<'a> Exec<'a> {
         if !classified.residual.is_empty() {
             let residual = Expr::all(classified.residual.clone());
             let program = self.filter_program(Some(&residual), &layout)?;
-            let ctx = self.eval_ctx();
-            // Batch into a keep-mask, then compact in place: survivors are
-            // moved, never cloned.
-            let mut keep = vec![false; rows.len()];
-            let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
-            let mut base = 0usize;
-            for chunk in rows.chunks(FILTER_BATCH) {
-                self.check_deadline()?;
-                sel.clear();
-                program.select_into(chunk, |r| r.as_slice(), &ctx, &mut sel)?;
-                for &i in &sel {
-                    keep[base + i as usize] = true;
-                }
-                base += chunk.len();
-            }
-            let mut it = keep.into_iter();
-            rows.retain(|_| it.next().unwrap_or(false));
+            self.retain_matching(&mut rows, &program, &self.eval_ctx())?;
         }
 
         // Aggregation or plain projection.
@@ -376,11 +368,44 @@ impl<'a> Exec<'a> {
         Ok(result)
     }
 
+    /// Keep the rows `program` accepts. Batched into a keep-mask, then
+    /// compacted in place: survivors are moved, never cloned.
+    fn retain_matching(
+        &self,
+        rows: &mut Vec<Row>,
+        program: &FilterProgram,
+        ctx: &EvalContext<'_>,
+    ) -> DbResult<()> {
+        if matches!(program, FilterProgram::KeepAll) {
+            return Ok(());
+        }
+        let mut keep = vec![false; rows.len()];
+        let mut sel: Vec<u32> = Vec::with_capacity(FILTER_BATCH);
+        let mut base = 0usize;
+        for chunk in rows.chunks(FILTER_BATCH) {
+            self.check_deadline()?;
+            sel.clear();
+            program.select_into(chunk, |r| r.as_slice(), ctx, &mut sel)?;
+            for &i in &sel {
+                keep[base + i as usize] = true;
+            }
+            base += chunk.len();
+        }
+        let mut it = keep.into_iter();
+        rows.retain(|_| it.next().unwrap_or(false));
+        Ok(())
+    }
+
+    /// The filter program of a merged CTE's body, bound over its table.
+    fn merged_program(&self, entry: &TableEntry, cte: &MergedCte<'_>) -> DbResult<FilterProgram> {
+        self.filter_program(cte.predicate, &Layout::single(cte.alias, entry.schema().clone()))
+    }
+
     /// Access one relation, applying `predicate` (its local conjuncts).
     fn access(
         &self,
         alias: &str,
-        rel: &Rel<'a>,
+        rel: &Rel<'_>,
         hint: &IndexHint,
         predicate: Option<&Expr>,
     ) -> DbResult<Vec<Row>> {
@@ -391,6 +416,9 @@ impl<'a> Exec<'a> {
             return Ok(Vec::new());
         }
         let ctx = self.eval_ctx();
+        let scan = ScanOptions {
+            threads: self.threads,
+        };
         match rel {
             Rel::Temp(t) => {
                 // Temp tables have no indexes: sequential scan.
@@ -402,17 +430,28 @@ impl<'a> Exec<'a> {
                 Ok(out)
             }
             Rel::Base(entry) => {
+                let plan = plan_access_opts(entry, alias, predicate, hint, self.db.profile(), scan);
+                self.scan_base(entry, &plan, &program, &ctx)
+            }
+            Rel::Merged(entry, cte) => {
+                // The body's own access path and filter, then the reader's
+                // local conjuncts over the survivors: no temp table, no
+                // second scan.
+                let body = self.merged_program(entry, cte)?;
+                if body.drops_all() {
+                    return Ok(Vec::new());
+                }
                 let plan = plan_access_opts(
                     entry,
-                    alias,
-                    predicate,
-                    hint,
+                    cte.alias,
+                    cte.predicate,
+                    cte.hint,
                     self.db.profile(),
-                    ScanOptions {
-                        threads: self.threads,
-                    },
+                    scan,
                 );
-                self.scan_base(entry, &plan, &program, &ctx)
+                let mut rows = self.scan_base(entry, &plan, &body, &ctx)?;
+                self.retain_matching(&mut rows, &program, &ctx)?;
+                Ok(rows)
             }
         }
     }
@@ -632,7 +671,7 @@ impl<'a> Exec<'a> {
         joined_aliases: &[String],
         table_schemas: &[(String, Arc<TableSchema>)],
         alias: &str,
-        rel: &Rel<'a>,
+        rel: &Rel<'_>,
         hint: &IndexHint,
         local: Option<&Expr>,
         conds: &[&JoinCond],
@@ -651,18 +690,13 @@ impl<'a> Exec<'a> {
         // Normalize conditions to (outer column slot, inner column name).
         let mut keys: Vec<(usize, String)> = Vec::new();
         for c in conds {
-            let (outer_col, inner_col) = if c.left_alias == alias {
-                (
-                    ColumnRef::qualified(c.right_alias.clone(), c.right_column.clone()),
-                    c.left_column.clone(),
-                )
+            let outer_alias = if c.left_alias == alias {
+                &c.right_alias
             } else {
-                (
-                    ColumnRef::qualified(c.left_alias.clone(), c.left_column.clone()),
-                    c.right_column.clone(),
-                )
+                &c.left_alias
             };
-            keys.push((outer_layout.resolve(&outer_col)?, inner_col));
+            let outer_col = ColumnRef::qualified(outer_alias, c.column_of(outer_alias));
+            keys.push((outer_layout.resolve(&outer_col)?, c.column_of(alias).to_string()));
         }
 
         let inner_schema = rel.schema();
@@ -670,10 +704,21 @@ impl<'a> Exec<'a> {
         let local_program = self.filter_program(local, &inner_layout)?;
         let ctx = self.eval_ctx();
 
-        // Index nested-loop when the inner side is a base table with an
-        // index on the first join column and the outer side is small-ish.
-        if let (Rel::Base(entry), Some((outer_slot, inner_col))) = (rel, keys.first()) {
+        // Index nested-loop when the inner side is a base table, or a
+        // merged CTE over one, with an index on the first join column. A
+        // merged body's filter is checked on each fetched row; its hint
+        // steers only the table's own access path, not the join method.
+        if let (Rel::Base(entry) | Rel::Merged(entry, _), Some((outer_slot, inner_col))) =
+            (rel, keys.first())
+        {
             if let Some(idx) = entry.index_on(inner_col) {
+                let body = match rel {
+                    Rel::Merged(_, cte) => self.merged_program(entry, cte)?,
+                    _ => FilterProgram::KeepAll,
+                };
+                if body.drops_all() {
+                    return Ok(Vec::new());
+                }
                 let extra_keys = &keys[1..];
                 let stats = self.stats;
                 let mut out = Vec::new();
@@ -687,7 +732,7 @@ impl<'a> Exec<'a> {
                         continue;
                     }
                     for (_, irow) in entry.table.fetch(&ids, stats) {
-                        if !local_program.matches(irow, &ctx)? {
+                        if !body.matches(irow, &ctx)? || !local_program.matches(irow, &ctx)? {
                             continue;
                         }
                         let mut ok = true;
@@ -1332,9 +1377,14 @@ mod tests {
     #[test]
     fn parallel_filter_applies_to_temp_tables() {
         let db = big_db(DbProfile::MySqlLike);
-        let inner = SelectQuery::star_from("big");
-        let outer = SelectQuery::star_from("big_cte")
-            .with_clause("big_cte", inner)
+        // A derived table is always materialized (a single-use CTE this
+        // plain would merge into its reader instead).
+        let outer = SelectQuery::star_from("t")
+            .from_tables(vec![TableRef {
+                source: TableSource::Derived(Box::new(SelectQuery::star_from("big"))),
+                alias: "t".into(),
+                hint: IndexHint::None,
+            }])
             .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(13)));
         let seq = db.run_query(&outer).unwrap();
         let par = db

@@ -10,7 +10,7 @@ use crate::catalog::Database;
 use crate::error::DbResult;
 use crate::exec::ExecOptions;
 use crate::plan::{SelectQuery, TableSource};
-use crate::planner::{classify_predicate, plan_access_opts, AccessPlan, ScanOptions};
+use crate::planner::{classify_predicate, mergeable_cte, plan_access_opts, AccessPlan, ScanOptions};
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,10 +37,15 @@ pub struct RelationPlan {
 /// WITH-clause bodies are explained recursively in `ctes`.
 #[derive(Debug, Clone, Default)]
 pub struct ExplainOutput {
-    /// Plans for the body's FROM relations (base tables only; temp/derived
-    /// relations are always scanned and reported with `SeqScan`).
+    /// Plans for the body's FROM relations. A materialized CTE or derived
+    /// table is always scanned and reported as `SeqScan(temp)` /
+    /// `SeqScan(derived)`. A CTE merged into its reader (see
+    /// [`crate::planner::mergeable_cte`]) carries its body's plan and is
+    /// reported as `Merged(<table>)`, or `IndexNestedLoop(<column>)` when
+    /// it is a join's inner side probed per outer row.
     pub relations: Vec<RelationPlan>,
-    /// EXPLAIN of each WITH clause, in definition order.
+    /// EXPLAIN of each WITH clause, in definition order — merged ones
+    /// included, since their body plan is what reads the table.
     pub ctes: Vec<(String, ExplainOutput)>,
 }
 
@@ -83,14 +88,29 @@ pub fn explain_query_opts(
     query: &SelectQuery,
     opts: &ExecOptions,
 ) -> DbResult<ExplainOutput> {
+    explain_scoped(db, query, opts, &[])
+}
+
+/// EXPLAIN of `query` with the CTE names of enclosing scopes in `outer`.
+fn explain_scoped(
+    db: &Database,
+    query: &SelectQuery,
+    opts: &ExecOptions,
+    outer: &[String],
+) -> DbResult<ExplainOutput> {
     let scan = ScanOptions {
         threads: opts.threads,
     };
     let mut out = ExplainOutput::default();
-    let mut cte_names: Vec<String> = Vec::new();
-    for wc in &query.with {
-        out.ctes
-            .push((wc.name.clone(), explain_query_opts(db, &wc.query, opts)?));
+    let mut cte_names: Vec<String> = outer.to_vec();
+    let mut merged = Vec::new();
+    for (i, wc) in query.with.iter().enumerate() {
+        let body = explain_scoped(db, &wc.query, opts, &cte_names)?;
+        let cte = mergeable_cte(query, i, |n| outer.iter().any(|o| o == n));
+        if let Some(entry) = cte.and_then(|c| db.table(c.table).ok()) {
+            merged.push((wc.name.as_str(), entry, body.relations[0].clone()));
+        }
+        out.ctes.push((wc.name.clone(), body));
         cte_names.push(wc.name.clone());
     }
 
@@ -101,10 +121,17 @@ pub fn explain_query_opts(
             TableSource::Named(name) if !cte_names.contains(name) && db.has_table(name) => {
                 db.table(name)?.schema().clone()
             }
-            // CTE and derived relations: schema unknown here; use an empty
-            // placeholder (their predicates cannot be classified as local,
-            // which is conservative — they are scans anyway).
-            _ => Arc::new(crate::schema::TableSchema::new(tref.alias.clone(), vec![])),
+            TableSource::Named(name) => match merged.iter().find(|m| m.0 == name.as_str()) {
+                Some(m) => m.1.schema().clone(),
+                None => Arc::new(crate::schema::TableSchema::new(tref.alias.clone(), vec![])),
+            },
+            // Materialized CTE and derived relations: schema unknown here;
+            // use an empty placeholder (their predicates cannot be
+            // classified as local, which is conservative — they are scans
+            // anyway).
+            TableSource::Derived(_) => {
+                Arc::new(crate::schema::TableSchema::new(tref.alias.clone(), vec![]))
+            }
         };
         table_schemas.push((tref.alias.clone(), schema));
     }
@@ -113,9 +140,31 @@ pub fn explain_query_opts(
         None => Default::default(),
     };
 
-    for tref in &query.from {
+    for (k, tref) in query.from.iter().enumerate() {
         let (table_name, entry) = match &tref.source {
             TableSource::Named(name) => {
+                if let Some((_, entry, body)) = merged.iter().find(|m| m.0 == name.as_str()) {
+                    // Probed per outer row exactly when the executor's
+                    // index nested-loop applies: an inner side keyed on an
+                    // indexed column.
+                    let joined: Vec<String> =
+                        query.from[..k].iter().map(|t| t.alias.clone()).collect();
+                    let probe = classified
+                        .joins_to(&tref.alias, &joined)
+                        .first()
+                        .map(|c| c.column_of(&tref.alias))
+                        .filter(|c| entry.index_on(c).is_some());
+                    out.relations.push(RelationPlan {
+                        alias: tref.alias.clone(),
+                        table: name.clone(),
+                        access_desc: match probe {
+                            Some(col) => format!("IndexNestedLoop({col})"),
+                            None => format!("Merged({})", entry.schema().name),
+                        },
+                        ..body.clone()
+                    });
+                    continue;
+                }
                 if cte_names.contains(name) || !db.has_table(name) {
                     out.relations.push(RelationPlan {
                         alias: tref.alias.clone(),
@@ -267,12 +316,59 @@ mod tests {
         let db = db();
         let inner = SelectQuery::star_from("w")
             .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(3)));
-        let q = SelectQuery::star_from("pol").with_clause("pol", inner);
+        // Read twice, the CTE is materialized once and scanned per read.
+        let q = SelectQuery::star_from("pol")
+            .with_clause("pol", inner)
+            .from_tables(vec![
+                TableRef::aliased("pol", "a"),
+                TableRef::aliased("pol", "b"),
+            ]);
         let e = db.explain(&q).unwrap();
         assert_eq!(e.ctes.len(), 1);
         assert_eq!(e.ctes[0].0, "pol");
-        assert!(e.relations[0].access_desc.contains("temp"));
+        assert!(e.relations.iter().all(|r| r.access_desc.contains("temp")));
         let rendered = e.to_string();
         assert!(rendered.contains("CTE pol:"));
+    }
+
+    #[test]
+    fn explain_reports_merged_cte() {
+        let db = db();
+        let inner = SelectQuery {
+            from: vec![TableRef::named("w").with_hint(IndexHint::IgnoreAll)],
+            ..SelectQuery::star_from("w")
+        }
+        .filter(Expr::col_eq(ColumnRef::bare("owner"), Value::Int(3)));
+        // Read once: the body's plan is what runs, under the CTE's entry.
+        let q = SelectQuery::star_from("pol").with_clause("pol", inner.clone());
+        let e = db.explain(&q).unwrap();
+        assert_eq!(e.ctes[0].1.relations[0].access_desc, "SeqScan");
+        assert_eq!(e.relations[0].access_desc, "Merged(w)");
+        assert_eq!(e.relations[0].access, AccessPlan::SeqScan);
+        assert_eq!(e.relations[0].est_rows, 500.0);
+
+        // As a join's inner side keyed on an indexed column, the merged
+        // CTE is probed per outer row, whatever its hint.
+        let join = SelectQuery::star_from("pol")
+            .with_clause("pol", inner)
+            .from_tables(vec![TableRef::aliased("w", "o"), TableRef::aliased("pol", "p")])
+            .filter(Expr::Cmp {
+                op: crate::expr::CmpOp::Eq,
+                lhs: Box::new(Expr::Column(ColumnRef::qualified("o", "id"))),
+                rhs: Box::new(Expr::Column(ColumnRef::qualified("p", "owner"))),
+            });
+        let e = db.explain(&join).unwrap();
+        assert_eq!(e.relations[1].access_desc, "IndexNestedLoop(owner)");
+
+        // A GROUP BY body is not a plain filter: it materializes.
+        let mut grouped = SelectQuery::star_from("w");
+        grouped.select = vec![crate::plan::SelectItem::Column {
+            column: ColumnRef::bare("owner"),
+            alias: None,
+        }];
+        grouped.group_by = vec![ColumnRef::bare("owner")];
+        let q = SelectQuery::star_from("g").with_clause("g", grouped);
+        let e = db.explain(&q).unwrap();
+        assert_eq!(e.relations[0].access_desc, "SeqScan(temp)");
     }
 }

@@ -408,6 +408,23 @@ impl Expr {
     }
 }
 
+/// Visit every scalar subquery in an expression (not descending into the
+/// subqueries' own predicates, which resolve in their own scope).
+pub fn visit_subqueries(e: &Expr, f: &mut dyn FnMut(&SelectQuery)) {
+    e.visit(&mut |node| {
+        if let Expr::ScalarSubquery(q) = node {
+            f(q);
+        }
+    });
+}
+
+/// True iff the expression contains a scalar subquery anywhere.
+pub fn contains_subquery(e: &Expr) -> bool {
+    let mut found = false;
+    visit_subqueries(e, &mut |_| found = true);
+    found
+}
+
 /// The flattened FROM layout a row is evaluated against: an ordered list of
 /// `(alias, schema)` whose columns are concatenated.
 #[derive(Debug, Clone, Default)]

@@ -13,9 +13,9 @@
 //!   credits for SIEVE's larger speedups on PostgreSQL).
 
 use crate::catalog::TableEntry;
-use crate::expr::{CmpOp, ColumnRef, Expr};
+use crate::expr::{contains_subquery, visit_subqueries, CmpOp, ColumnRef, Expr};
 use crate::index::RangeBound;
-use crate::plan::IndexHint;
+use crate::plan::{IndexHint, SelectItem, SelectQuery, TableSource};
 use crate::schema::TableSchema;
 use crate::stats::CounterBlock;
 use crate::table::RowId;
@@ -555,6 +555,17 @@ pub struct JoinCond {
     pub right_column: String,
 }
 
+impl JoinCond {
+    /// The column this condition reads on `alias`'s side.
+    pub fn column_of(&self, alias: &str) -> &str {
+        if self.left_alias == alias {
+            &self.left_column
+        } else {
+            &self.right_column
+        }
+    }
+}
+
 /// Result of classifying a WHERE clause against the FROM aliases.
 #[derive(Debug, Default)]
 pub struct ClassifiedPredicate {
@@ -573,6 +584,18 @@ impl ClassifiedPredicate {
             .get(alias)
             .filter(|v| !v.is_empty())
             .map(|v| Expr::all(v.clone()))
+    }
+
+    /// The equi-join conditions linking `alias` to the already-joined
+    /// aliases, in WHERE order; a left-deep join keys on the first.
+    pub fn joins_to(&self, alias: &str, joined: &[String]) -> Vec<&JoinCond> {
+        self.joins
+            .iter()
+            .filter(|j| {
+                (j.left_alias == alias && joined.contains(&j.right_alias))
+                    || (j.right_alias == alias && joined.contains(&j.left_alias))
+            })
+            .collect()
     }
 }
 
@@ -657,6 +680,86 @@ pub fn classify_predicate(
         }
     }
     out
+}
+
+/// A `WITH` clause planned inside its one reader instead of materialized:
+/// the body's single base table, read under the body's own alias, hint and
+/// predicate.
+#[derive(Debug, Clone, Copy)]
+pub struct MergedCte<'q> {
+    /// Base table the body reads.
+    pub table: &'q str,
+    /// The body's alias for it, which its predicate is written against.
+    pub alias: &'q str,
+    /// The body's index hint, steering the table's own access path.
+    pub hint: &'q IndexHint,
+    /// The body's WHERE.
+    pub predicate: Option<&'q Expr>,
+}
+
+/// Whether `query.with[i]` merges into its reader, as PostgreSQL ≥ 12
+/// inlines a single-use CTE and MySQL 8 merges a derived table. It does
+/// when all of these hold; otherwise it is materialized:
+///
+/// * the body is a plain filter: `SELECT *` over one named table, with
+///   optional hint and WHERE, and no WITH, GROUP BY, LIMIT or scalar
+///   subquery;
+/// * that table name is no CTE — neither one in an enclosing scope
+///   (`shadowed`) nor a WITH name of `query`;
+/// * the CTE's name is defined once and read exactly once in the whole
+///   query tree, and that read is in `query`'s own FROM.
+///
+/// Execution and EXPLAIN both decide through this one function.
+pub fn mergeable_cte<'q>(
+    query: &'q SelectQuery,
+    i: usize,
+    shadowed: impl Fn(&str) -> bool,
+) -> Option<MergedCte<'q>> {
+    let wc = &query.with[i];
+    let body = &wc.query;
+    let [tref] = body.from.as_slice() else {
+        return None;
+    };
+    let TableSource::Named(table) = &tref.source else {
+        return None;
+    };
+    let filter_only = matches!(body.select.as_slice(), [SelectItem::Star])
+        && body.with.is_empty()
+        && body.group_by.is_empty()
+        && body.limit.is_none()
+        && !body.predicate.as_ref().is_some_and(contains_subquery);
+    let unshadowed = !shadowed(table) && !query.with.iter().any(|w| w.name == *table);
+    let read_once = query.with.iter().filter(|w| w.name == wc.name).count() == 1
+        && count_reads(query, &wc.name) == 1
+        && query
+            .from
+            .iter()
+            .any(|t| matches!(&t.source, TableSource::Named(n) if *n == wc.name));
+    (filter_only && unshadowed && read_once).then_some(MergedCte {
+        table,
+        alias: &tref.alias,
+        hint: &tref.hint,
+        predicate: body.predicate.as_ref(),
+    })
+}
+
+/// FROM entries named `name` anywhere in `query`: WITH bodies, derived
+/// tables and scalar subqueries included, shadowing ignored.
+fn count_reads(query: &SelectQuery, name: &str) -> usize {
+    let mut n = 0;
+    for wc in &query.with {
+        n += count_reads(&wc.query, name);
+    }
+    for t in &query.from {
+        n += match &t.source {
+            TableSource::Named(x) => usize::from(x == name),
+            TableSource::Derived(q) => count_reads(q, name),
+        };
+    }
+    if let Some(p) = &query.predicate {
+        visit_subqueries(p, &mut |q| n += count_reads(q, name));
+    }
+    n
 }
 
 #[cfg(test)]
@@ -972,5 +1075,40 @@ mod tests {
         assert_eq!(scan.scan_ways(entry.table.len()), 1);
         // On a big enough table, 8-way scans shrink the gate 8×.
         assert_eq!(scan.scan_ways(8 * PARALLEL_MIN_ROWS), 8);
+    }
+
+    #[test]
+    fn cte_merges_only_when_single_use_and_filter_only() {
+        let guard = SelectQuery::star_from("w").filter(owner_eq(3));
+        let reader = |from: &str| SelectQuery::star_from(from).with_clause("g", guard.clone());
+        let merges = |q: &SelectQuery| mergeable_cte(q, 0, |_| false).is_some();
+
+        let q = reader("g");
+        let cte = mergeable_cte(&q, 0, |_| false).expect("single-use filter merges");
+        assert_eq!((cte.table, cte.alias), ("w", "w"));
+        assert_eq!(cte.predicate, Some(&owner_eq(3)));
+        // The base name is a CTE in an enclosing scope.
+        assert!(mergeable_cte(&q, 0, |n| n == "w").is_none());
+        // Read twice, or read from a scalar subquery as well.
+        let twice = reader("g").from_tables(vec![
+            crate::plan::TableRef::aliased("g", "a"),
+            crate::plan::TableRef::aliased("g", "b"),
+        ]);
+        assert!(!merges(&twice));
+        let sub = Expr::ScalarSubquery(Box::new(SelectQuery::star_from("g")));
+        assert!(!merges(&reader("g").filter(Expr::col_eq(ColumnRef::bare("id"), Value::Int(1)))
+            .and_filter(Expr::Cmp {
+                op: CmpOp::Eq,
+                lhs: Box::new(Expr::Column(ColumnRef::bare("id"))),
+                rhs: Box::new(sub),
+            })));
+        // Read only by a later WITH body, not the defining FROM.
+        assert!(!merges(&reader("h").with_clause("h", SelectQuery::star_from("g"))));
+        // The base name is a sibling WITH name.
+        assert!(!merges(&reader("g").with_clause("w", SelectQuery::star_from("w"))));
+        // Not a plain filter.
+        let mut limited = reader("g");
+        limited.with[0].query.limit = Some(1);
+        assert!(!merges(&limited));
     }
 }

@@ -91,13 +91,13 @@ fn run(
 fn concurrent_run_timed_counters_equal_sequential() {
     let (service, ds) = campus();
     let heavy = ds.devices[0].id;
+    let q1 = generate_query(&ds, QueryClass::Q1, Selectivity::Mid, 7);
     let q2 = generate_query(&ds, QueryClass::Q2, Selectivity::Mid, 7);
-    let q3 = generate_query(&ds, QueryClass::Q3, Selectivity::Mid, 7);
     let cases: Vec<(Enforcement, SelectQuery, QueryMetadata)> = vec![
-        // Q3 whose 127 guards cost more than a scan: a sequential scan.
+        // Q1 whose guards cost more than a scan: a sequential scan.
         (
             Enforcement::Sieve,
-            q3.clone(),
+            q1,
             QueryMetadata::new(heavy, PURPOSE),
         ),
         // Inline guards driving an index union.
@@ -109,7 +109,7 @@ fn concurrent_run_timed_counters_equal_sequential() {
         // A guard whose partition is checked by the ∆ UDF.
         (
             Enforcement::Sieve,
-            q3,
+            SelectQuery::star_from(WIFI_TABLE),
             QueryMetadata::new(DELTA_QUERIER, PURPOSE),
         ),
         // The policy DNF in WHERE over a full scan.

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use sieve::minidb::expr::{CmpOp, ColumnRef, Expr};
-use sieve::minidb::plan::{IndexHint, TableRef};
+use sieve::minidb::plan::{IndexHint, SelectItem, TableRef};
 use sieve::minidb::value::{DataType, Value};
-use sieve::minidb::{Database, DbProfile, RangeBound, SelectQuery, TableSchema};
+use sieve::minidb::{Database, DbProfile, RangeBound, Row, SelectQuery, TableSchema};
 
 fn build(rows: i64, profile: DbProfile) -> Database {
     let mut db = Database::new(profile);
@@ -36,7 +36,47 @@ fn build(rows: i64, profile: DbProfile) -> Database {
     db.create_index("t", "b").unwrap();
     db.create_index("t", "c").unwrap();
     db.analyze("t").unwrap();
+    // A small outer side for joins on t.a; its columns share no name
+    // with t's, so bare a, b, c stay unambiguous in a join.
+    db.create_table(TableSchema::of("s", &[("k", DataType::Int), ("tag", DataType::Int)]))
+        .unwrap();
+    for i in 0..30i64 {
+        db.insert("s", vec![Value::Int(i % 23), Value::Int(i)]).unwrap();
+    }
     db
+}
+
+/// `WITH v AS (SELECT * FROM t <hint> WHERE p) <reader>`.
+fn over_cte(p: &Expr, hint: &IndexHint, reader: SelectQuery) -> SelectQuery {
+    let body = SelectQuery {
+        from: vec![TableRef::named("t").with_hint(hint.clone())],
+        ..SelectQuery::star_from("t")
+    }
+    .filter(p.clone());
+    reader.with_clause("v", body)
+}
+
+/// `alias.a = s.k`.
+fn joins_s(alias: &str) -> Expr {
+    Expr::Cmp {
+        op: CmpOp::Eq,
+        lhs: Box::new(Expr::Column(ColumnRef::qualified("s", "k"))),
+        rhs: Box::new(Expr::Column(ColumnRef::qualified(alias, "a"))),
+    }
+}
+
+fn sorted_rows(db: &Database, q: &SelectQuery) -> Vec<Row> {
+    let mut rows = db.run_query(q).unwrap().rows;
+    rows.sort();
+    rows
+}
+
+fn arb_hint() -> impl Strategy<Value = IndexHint> {
+    prop_oneof![
+        Just(IndexHint::None),
+        Just(IndexHint::Force(vec!["a".into(), "b".into(), "c".into()])),
+        Just(IndexHint::IgnoreAll),
+    ]
 }
 
 /// A random predicate whose leaves are all sargable (so forced index
@@ -100,6 +140,83 @@ proptest! {
             let mut got = db.run_query(q).unwrap().rows;
             got.sort();
             prop_assert_eq!(&got, &reference, "{} diverged", label);
+        }
+    }
+
+    #[test]
+    fn merged_cte_agrees_with_materialized_and_scan(
+        p in arb_pred(),
+        q in arb_pred(),
+        hint in arb_hint(),
+        rows in 500i64..2500,
+    ) {
+        let x_cols: Vec<SelectItem> = ["id", "a", "b", "c"]
+            .iter()
+            .map(|c| SelectItem::Column { column: ColumnRef::qualified("x", *c), alias: None })
+            .collect();
+        for profile in [DbProfile::MySqlLike, DbProfile::PostgresLike] {
+            let db = build(rows, profile);
+            // (c) the no-CTE oracle: one sequential scan under p AND q.
+            let oracle = SelectQuery {
+                from: vec![TableRef::named("t").with_hint(IndexHint::IgnoreAll)],
+                ..SelectQuery::star_from("t")
+            }
+            .filter(Expr::and(p.clone(), q.clone()));
+            let want = sorted_rows(&db, &oracle);
+
+            // (a) read once: merged into the reader.
+            let merged = over_cte(
+                &p,
+                &hint,
+                SelectQuery::star_from("v")
+                    .from_tables(vec![TableRef::aliased("v", "x")])
+                    .filter(q.clone()),
+            );
+            let plan = db.explain(&merged).unwrap();
+            prop_assert_eq!(&plan.relations[0].access_desc, "Merged(t)");
+            prop_assert_eq!(&sorted_rows(&db, &merged), &want, "merged {:?}", profile);
+
+            // (b) read twice: materialized once, self-joined on the key.
+            let twice = over_cte(&p, &hint, SelectQuery {
+                select: x_cols.clone(),
+                from: vec![TableRef::aliased("v", "x"), TableRef::aliased("v", "y")],
+                ..SelectQuery::star_from("v")
+            })
+            .filter(Expr::all(vec![
+                Expr::Cmp {
+                    op: CmpOp::Eq,
+                    lhs: Box::new(Expr::Column(ColumnRef::qualified("x", "id"))),
+                    rhs: Box::new(Expr::Column(ColumnRef::qualified("y", "id"))),
+                },
+                q.map(&mut |e| match e {
+                    Expr::Column(c) => Some(Expr::Column(ColumnRef::qualified("x", &c.column))),
+                    _ => None,
+                }),
+            ]));
+            let plan = db.explain(&twice).unwrap();
+            prop_assert_eq!(&plan.relations[0].access_desc, "SeqScan(temp)");
+            prop_assert_eq!(&sorted_rows(&db, &twice), &want, "materialized {:?}", profile);
+
+            // (d) the merged CTE as a join's inner side, probed per outer
+            // row through t.a, against the same join over the base table.
+            let join = over_cte(
+                &p,
+                &hint,
+                SelectQuery::star_from("s")
+                    .from_tables(vec![TableRef::named("s"), TableRef::aliased("v", "x")])
+                    .filter(Expr::and(joins_s("x"), q.clone())),
+            );
+            let plan = db.explain(&join).unwrap();
+            prop_assert_eq!(&plan.relations[1].access_desc, "IndexNestedLoop(a)");
+            let base_join = SelectQuery::star_from("s")
+                .from_tables(vec![TableRef::named("s"), TableRef::aliased("t", "x")])
+                .filter(Expr::all(vec![joins_s("x"), p.clone(), q.clone()]));
+            prop_assert_eq!(
+                &sorted_rows(&db, &join),
+                &sorted_rows(&db, &base_join),
+                "join {:?}",
+                profile
+            );
         }
     }
 

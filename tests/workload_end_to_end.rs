@@ -98,6 +98,33 @@ fn campus_q3_aggregate_consistent() {
 }
 
 #[test]
+fn guarded_q3_join_reads_no_more_than_baseline_p() {
+    // SIEVE's guard CTE on wifi_dataset is read once, as the inner side of
+    // Q3's join on owner: merged into the join, it is probed through the
+    // owner index per group member, like Baseline P's policy WHERE.
+    let (sieve, ds) = campus(DbProfile::MySqlLike);
+    let mut queriers: Vec<i64> = UserProfile::ALL
+        .iter()
+        .filter_map(|p| ds.devices_of(*p).next().map(|d| d.id))
+        .collect();
+    queriers.push(ds.devices[0].id);
+    for querier in queriers {
+        let qm = QueryMetadata::new(querier, "Analytics");
+        for seed in [7, 8, 9] {
+            let q = generate_query(&ds, QueryClass::Q3, Selectivity::Mid, seed);
+            let (got, got_stats) = sieve.run_timed(Enforcement::Sieve, &q, &qm);
+            let (want, want_stats) = sieve.run_timed(Enforcement::Baseline(Baseline::P), &q, &qm);
+            assert_eq!(got.unwrap().rows, want.unwrap().rows, "querier {querier} seed {seed}");
+            let (read, oracle_read) = (got_stats.counters.tuples_read, want_stats.counters.tuples_read);
+            assert!(
+                read <= oracle_read,
+                "querier {querier} seed {seed}: SIEVE read {read} tuples, Baseline P {oracle_read}"
+            );
+        }
+    }
+}
+
+#[test]
 fn visitors_see_almost_nothing_faculty_see_more() {
     let (sieve, ds) = campus(DbProfile::MySqlLike);
     let q = SelectQuery::star_from(WIFI_TABLE);
